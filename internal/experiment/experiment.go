@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 
 	"repro/internal/core"
@@ -402,6 +403,9 @@ func (r *runner) run() (*Result, error) {
 		} else {
 			res.HeapBytes = memstats.HeapAlloc()
 		}
+		// The sample sees only what is reachable: without this the
+		// collector may free the whole network before it is taken.
+		runtime.KeepAlive(r)
 	}
 	return res, nil
 }

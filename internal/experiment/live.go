@@ -6,10 +6,10 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hostrt"
 	"repro/internal/id"
 	"repro/internal/livenet"
 	"repro/internal/memstats"
@@ -380,36 +380,21 @@ func applyLiveEvent(net *livenet.Network, members []*liveMember, oracle *samplin
 				alive = append(alive, m)
 			}
 		}
-		k := int(e.Frac * float64(len(alive)))
-		if k == 0 && e.Frac > 0 {
-			k = 1
-		}
-		// Never kill the whole network: keep at least two hosts so the
-		// survivors still have someone to gossip with.
-		if max := len(alive) - 2; k > max {
-			k = max
-		}
+		k := e.KillCount(len(alive))
 		if k <= 0 {
 			return nil, nil, nil
 		}
 		perm := rng.Perm(len(alive))
-		// Kill the wave in parallel: each Kill blocks until the victim's
-		// goroutine exits, and paying those scheduler round-trips serially
-		// makes a 1000-host wave take minutes on a loaded machine.
-		var wg sync.WaitGroup
-		for i := 0; i < k; i++ {
+		victims := make([]*livenet.Host, k)
+		for i := range victims {
 			victim := alive[perm[i]]
 			victim.alive = false
 			oracle.Remove(victim.desc.ID)
 			res.Killed++
 			removed = append(removed, victim.desc.ID)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				victim.host.Kill()
-			}()
+			victims[i] = victim.host
 		}
-		wg.Wait()
+		hostrt.KillAll(victims)
 		return nil, removed, nil
 	case livenet.OpRespawn:
 		for _, m := range members {
@@ -426,10 +411,7 @@ func applyLiveEvent(net *livenet.Network, members []*liveMember, oracle *samplin
 		}
 		return added, nil, nil
 	case livenet.OpPartition:
-		split := peer.Addr(e.Split)
-		net.SetPartition(func(from, to peer.Addr) bool {
-			return (from < split) != (to < split)
-		})
+		net.SetPartition(livenet.Cut(e.Split))
 		return nil, nil, nil
 	case livenet.OpHeal:
 		net.SetPartition(nil)
@@ -542,10 +524,7 @@ func (tr *LiveTrialsResult) ConvergedTrials() int {
 func (tr *LiveTrialsResult) TotalStats() livenet.Stats {
 	var total livenet.Stats
 	for _, t := range tr.Trials {
-		total.Sent += t.Stats.Sent
-		total.Dropped += t.Stats.Dropped
-		total.Delivered += t.Stats.Delivered
-		total.Overflow += t.Stats.Overflow
+		total.Add(t.Stats)
 	}
 	return total
 }

@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/id"
+	"repro/internal/memstats"
 )
 
 // TestMeasureWorkersInvariance: the per-cycle measurement is sharded
@@ -89,5 +91,33 @@ func TestGeneratorReserve(t *testing.T) {
 		if g.Next() == first {
 			t.Fatal("generator returned a reserved ID")
 		}
+	}
+}
+
+// TestRunMemStatsCountsLiveNetwork: Run's MemStats heap sample must see
+// the trial's network. A sample taken after the runner's last use lets
+// the collector free the whole network first, and bytes/node then reads
+// ~25x low. The reference is the same trial's footprint measured with the
+// runner held live.
+func TestRunMemStatsCountsLiveNetwork(t *testing.T) {
+	const n = 1024
+	p := Params{N: n, Seed: 42, Config: core.DefaultConfig(), MaxCycles: 40, Sampler: SamplerOracle}
+	base := memstats.HeapAlloc()
+	r := &runner{p: p}
+	if _, err := r.run(); err != nil {
+		t.Fatal(err)
+	}
+	held := memstats.HeapAlloc() - base
+	runtime.KeepAlive(r)
+
+	p.MemStats = true
+	res, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.HeapBytes
+	t.Logf("held footprint %d B/node, MemStats sample %d B/node", held/n, got/n)
+	if got < held/2 || got > 2*held {
+		t.Errorf("MemStats sample %d B/node, want within 2x of the held footprint %d B/node", got/n, held/n)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hostrt"
 	"repro/internal/id"
 	"repro/internal/livenet"
 	"repro/internal/peer"
@@ -146,13 +146,7 @@ func expandSocketSchedule(schedule []livenet.Event, seed int64, n int) (map[int]
 					up = append(up, addr)
 				}
 			}
-			k := int(e.Frac * float64(len(up)))
-			if k == 0 && e.Frac > 0 {
-				k = 1
-			}
-			if max := len(up) - 2; k > max {
-				k = max
-			}
+			k := e.KillCount(len(up))
 			if k <= 0 {
 				continue
 			}
@@ -317,7 +311,7 @@ func (t *SocketTrial) applyPlan(plan *cyclePlan) error {
 		return nil
 	}
 	var added, removed []id.ID
-	var wg sync.WaitGroup
+	var victims []*transport.Host
 	for _, addr := range plan.kills {
 		m := t.members[addr]
 		m.alive = false
@@ -325,14 +319,10 @@ func (t *SocketTrial) applyPlan(plan *cyclePlan) error {
 		removed = append(removed, m.desc.ID)
 		if m.host != nil {
 			t.Killed++
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m.host.Kill()
-			}()
+			victims = append(victims, m.host)
 		}
 	}
-	wg.Wait()
+	hostrt.KillAll(victims)
 	for _, addr := range plan.respawns {
 		m := t.members[addr]
 		m.alive = true
@@ -356,10 +346,7 @@ func (t *SocketTrial) applyPlan(plan *cyclePlan) error {
 		if s := *plan.split; s < 0 {
 			t.net.SetPartition(nil)
 		} else {
-			split := peer.Addr(s)
-			t.net.SetPartition(func(from, to peer.Addr) bool {
-				return (from < split) != (to < split)
-			})
+			t.net.SetPartition(livenet.Cut(s))
 		}
 	}
 	if len(added) > 0 || len(removed) > 0 {

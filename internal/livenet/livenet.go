@@ -13,8 +13,6 @@
 package livenet
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -22,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/hostrt"
 	"repro/internal/peer"
 	"repro/internal/proto"
 	"repro/internal/sched"
@@ -42,33 +41,16 @@ type Config struct {
 	InboxSize int
 }
 
-// Stats is a snapshot of the network traffic counters. At quiescence
-// (after Close) the counters are conserved:
-//
-//	Sent == Delivered + Dropped + Overflow
-//
-// Every sent message is eventually dispatched to a protocol (Delivered),
-// rejected by the fault model, addressed to a dead or unknown host, or
-// stranded in flight at shutdown (Dropped), or bounced off a full inbox
-// (Overflow).
-type Stats struct {
-	Sent      int64
-	Dropped   int64
-	Delivered int64
-	Overflow  int64
-}
+// The host runtime and its traffic counters are hostrt's; these aliases
+// keep the engine's exported surface.
+type (
+	Host      = hostrt.Host
+	Stats     = hostrt.Stats
+	HostStats = hostrt.HostStats
+)
 
-// HostStats is a per-host traffic snapshot.
-type HostStats struct {
-	// Delivered counts messages dispatched to this host's protocols.
-	Delivered int64
-	// Overflow counts messages bounced off this host's full inbox.
-	Overflow int64
-	// Ticks counts protocol tick callbacks run on this host.
-	Ticks int64
-	// Incarnations counts how many times the host has been (re)started.
-	Incarnations int64
-}
+// ErrClosed is returned by Start and Respawn after Close.
+var ErrClosed = hostrt.ErrClosed
 
 // latencyWindow is an immutable [min, max] delivery latency pair; SetLatency
 // swaps the whole window atomically so senders never observe a torn pair.
@@ -76,37 +58,23 @@ type latencyWindow struct {
 	min, max time.Duration
 }
 
-// partitionFunc is a cut predicate; see SetPartition.
-type partitionFunc func(from, to peer.Addr) bool
-
-// Network is a concurrent in-memory network of hosts.
+// Network is a concurrent in-memory network of hosts: the shared host
+// runtime plus livenet's send path, a latency draw followed by either a
+// direct inbox handoff or a flight on the timing-wheel wire.
 //
 // The send path is deliberately lock-free: the fault model lives in
-// atomics (drop probability as float bits, the latency window and the
-// partition predicate behind atomic pointers) and the per-send randomness
-// comes from the sending host's private RNG, so concurrent senders never
-// serialise on Network.mu. The mutex only guards cold control-plane state:
-// host registration and the closing handshake.
+// atomics (the latency window behind an atomic pointer here, the rest in
+// the runtime) and the per-send randomness comes from the sending host's
+// private RNG, so concurrent senders never serialise on Network.mu. The
+// mutex only guards host registration.
 type Network struct {
-	cfg     Config
-	mu      sync.Mutex
-	rng     *rand.Rand // guarded by mu: host seeding (AddHost, pre-Start)
-	hosts   []*Host    // append-only before Start; read lock-free afterwards
-	wg      sync.WaitGroup
-	stop    chan struct{}
-	closed  atomic.Bool
-	closing bool // guarded by mu: no wg.Add once set
-	started atomic.Bool
-	start   time.Time
-
-	// Mutable fault model, read lock-free on every send.
-	dropBits  atomic.Uint64 // math.Float64bits of the drop probability
-	lat       atomic.Pointer[latencyWindow]
-	partition atomic.Pointer[partitionFunc]
-
-	wire *wire
-
-	sent, dropped, delivered, overflow atomic.Int64
+	*hostrt.Runtime
+	cfg   Config
+	mu    sync.Mutex
+	rng   *rand.Rand // guarded by mu: host seeding (AddHost, pre-Start)
+	hosts []*Host    // by address; append-only before Start, read lock-free afterwards
+	lat   atomic.Pointer[latencyWindow]
+	wire  *wire
 }
 
 // New returns a network ready for AddHost/Attach; call Start to run it.
@@ -117,20 +85,13 @@ func New(cfg Config) *Network {
 	if cfg.MaxLatency < cfg.MinLatency {
 		cfg.MaxLatency = cfg.MinLatency
 	}
-	n := &Network{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		stop: make(chan struct{}),
-	}
-	n.dropBits.Store(math.Float64bits(cfg.Drop))
+	n := &Network{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	n.Runtime = hostrt.New(cfg.InboxSize, cfg.Drop, func(from *Host, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
+		n.send(from.Addr(), to, pid, msg)
+	})
 	n.lat.Store(&latencyWindow{min: cfg.MinLatency, max: cfg.MaxLatency})
 	n.wire = newWire(n)
 	return n
-}
-
-// SetDrop changes the per-message loss probability at runtime.
-func (n *Network) SetDrop(p float64) {
-	n.dropBits.Store(math.Float64bits(p))
 }
 
 // SetLatency changes the delivery latency window at runtime.
@@ -141,507 +102,36 @@ func (n *Network) SetLatency(min, max time.Duration) {
 	n.lat.Store(&latencyWindow{min: min, max: max})
 }
 
-// SetPartition installs a cut predicate: messages for which fn(from, to)
-// reports true are dropped. Passing nil heals the partition. fn must be
-// pure, fast, and safe for concurrent use; it is called lock-free on the
-// sender's goroutine.
-func (n *Network) SetPartition(fn func(from, to peer.Addr) bool) {
-	if fn == nil {
-		n.partition.Store(nil)
-		return
-	}
-	pf := partitionFunc(fn)
-	n.partition.Store(&pf)
-}
-
-// command is one unit of work for a host goroutine.
-type command struct {
-	// tick is non-nil for tick commands.
-	tick *binding
-	// from/pid/msg describe a delivery.
-	from peer.Addr
-	pid  proto.ProtoID
-	msg  proto.Message
-}
-
-// binding is one (protocol, schedule) pair, stored by value in the host's
-// pid-sorted bindings slice — the slice is the only protocol registry (no
-// shadow map), and at the two-or-three bindings a bootstrap host carries a
-// linear scan of a contiguous value slice beats a map lookup while costing
-// a single allocation for the whole registry. The slice is sealed at Start
-// (Attach must precede it), so interior pointers taken by the host
-// goroutine (tick commands, the init channel) remain stable for the life
-// of the network.
-type binding struct {
-	pid    proto.ProtoID
-	p      proto.Protocol
-	period time.Duration
-	offset time.Duration
-	// tickQueued coalesces tick commands: at most one tick per binding
-	// sits in the inbox at a time. Without this a host that falls behind
-	// (or is paused for a measurement) accumulates a backlog of stale
-	// ticks and then fires a catch-up gossip storm — hundreds of extra
-	// messages per host — instead of just resuming at its period.
-	//
-	// A bare uint32 driven through sync/atomic rather than atomic.Bool:
-	// the wrapper embeds a noCopy guard, which would (correctly) trip
-	// vet's copylocks on the by-value appends Attach performs before the
-	// slice is sealed. The atomics only start once Start launches the
-	// goroutines, after the last copy.
-	tickQueued uint32
-}
-
-// incarnation is one life of a host: the channels that end it. Kill closes
-// down and waits for exited; Respawn installs a fresh incarnation.
-type incarnation struct {
-	down     chan struct{}
-	downOnce sync.Once
-	exited   chan struct{}
-	running  bool // goroutine launched (guarded by Host.mu)
-}
-
-func newIncarnation() *incarnation {
-	return &incarnation{down: make(chan struct{}), exited: make(chan struct{})}
-}
-
-func (inc *incarnation) kill() { inc.downOnce.Do(func() { close(inc.down) }) }
-
-func (inc *incarnation) dead() bool {
-	select {
-	case <-inc.down:
-		return true
-	default:
-		return false
-	}
-}
-
-// ctrlMsg is a pause/resume handshake. ack is closed by the host goroutine
-// once the command takes effect.
-type ctrlMsg struct {
-	pause bool
-	ack   chan struct{}
-}
-
-// Host is one node: a mailbox plus the protocols attached to it. All
-// protocol callbacks run on the host's single goroutine.
-type Host struct {
-	net   *Network
-	addr  peer.Addr
-	inbox chan command
-	rng   *rand.Rand
-	// sendRNG drives this host's outbound drop/latency decisions. It is
-	// distinct from the protocol-visible rng and is only touched from the
-	// host's own callback goroutine, so the send path needs no lock.
-	sendRNG *rand.Rand
-	// bindings is sorted by pid and sealed at Network.Start; it doubles as
-	// the dispatch table (find) and the tick schedule.
-	bindings []binding
-	ctrl     chan ctrlMsg
-
-	mu  sync.Mutex // lifecycle state
-	inc *incarnation
-
-	delivered, overflow, ticks, incarnations atomic.Int64
-}
-
-// hostContext implements proto.Context for livenet callbacks; one per
-// binding so Send routes to the caller's own protocol on the peer.
-type hostContext struct {
-	h   *Host
-	pid proto.ProtoID
-}
-
-var _ proto.Context = hostContext{}
-
-func (c hostContext) Self() peer.Addr  { return c.h.addr }
-func (c hostContext) Now() int64       { return time.Since(c.h.net.start).Milliseconds() }
-func (c hostContext) Rand() *rand.Rand { return c.h.rng }
-func (c hostContext) Send(to peer.Addr, msg proto.Message) {
-	c.h.net.send(c.h.addr, to, c.pid, msg)
-}
-
 // AddHost allocates a host. All hosts must be added, and their protocols
-// attached, before Start.
+// attached, before Start. Host RNG seeds are drawn in AddHost order.
 func (n *Network) AddHost() *Host {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	h := &Host{
-		net:     n,
-		addr:    peer.Addr(len(n.hosts)),
-		inbox:   make(chan command, n.cfg.InboxSize),
-		rng:     rand.New(rand.NewSource(n.rng.Int63())),
-		sendRNG: rand.New(rand.NewSource(n.rng.Int63())),
-		ctrl:    make(chan ctrlMsg),
-		inc:     newIncarnation(),
-	}
+	h := n.Runtime.AddHost(peer.Addr(len(n.hosts)), n.rng.Int63(), n.rng.Int63())
 	n.hosts = append(n.hosts, h)
 	return h
 }
 
-// Addr returns the host's address.
-func (h *Host) Addr() peer.Addr { return h.addr }
-
-// Stats returns the host's per-host counters.
-func (h *Host) Stats() HostStats {
-	return HostStats{
-		Delivered:    h.delivered.Load(),
-		Overflow:     h.overflow.Load(),
-		Ticks:        h.ticks.Load(),
-		Incarnations: h.incarnations.Load(),
-	}
-}
-
-// Kill crashes the host: its goroutine exits, its tickers stop, and
-// messages addressed to it are dropped. It waits for the host goroutine
-// to finish its current callback, so the host's protocol state may be
-// inspected safely afterwards, and drains messages already queued in the
-// inbox, counting them as dropped. Safe to call multiple times and safe
-// to call concurrently with Respawn and with senders.
-func (h *Host) Kill() {
-	for {
-		h.mu.Lock()
-		inc := h.inc
-		h.mu.Unlock()
-		inc.kill()
-		h.mu.Lock()
-		running := inc.running
-		h.mu.Unlock()
-		if running {
-			<-inc.exited
-		}
-		h.drainInbox()
-		h.mu.Lock()
-		same := h.inc == inc
-		h.mu.Unlock()
-		if same {
-			return
-		}
-		// A concurrent Respawn swapped in a fresh incarnation between
-		// our read and now; kill that one too, or we would return with
-		// the host still running.
-	}
-}
-
-// Stop is an alias for Kill, kept for API compatibility.
-func (h *Host) Stop() { h.Kill() }
-
-// drainInbox discards queued deliveries, counting them as dropped. Tick
-// commands are engine-internal and do not touch the traffic counters.
-func (h *Host) drainInbox() {
-	for {
-		select {
-		case cmd := <-h.inbox:
-			if cmd.tick != nil {
-				atomic.StoreUint32(&cmd.tick.tickQueued, 0)
-			} else {
-				h.net.dropped.Add(1)
-				recycle(cmd.msg)
-			}
-		default:
-			return
-		}
-	}
-}
-
-// recycle retires a message (see proto.Recyclable): called exactly once
-// per message, after its Handle returns or on any drop/overflow/drain
-// path. sync.Pool's Put/Get establish the cross-goroutine ordering.
-func recycle(m proto.Message) {
-	if r, ok := m.(proto.Recyclable); ok {
-		r.Recycle()
-	}
-}
-
-// Stopped reports whether the host's current incarnation has been killed.
-func (h *Host) Stopped() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.inc.dead()
-}
-
-// Respawn restarts a killed host with its protocol state intact — the
-// crash-recovery model: the node comes back with whatever (possibly
-// stale) structures it had, re-runs Init after its configured offsets,
-// and resumes ticking. It is a no-op if the host is already running and
-// returns ErrClosed after Network.Close. Respawn before Network.Start
-// just revives the host; Start will launch it.
-func (h *Host) Respawn() error {
-	n := h.net
-	for {
-		if n.closed.Load() {
-			return ErrClosed
-		}
-		h.mu.Lock()
-		inc := h.inc
-		running := inc.running
-		h.mu.Unlock()
-		if !inc.dead() {
-			return nil
-		}
-		if running {
-			// Wait for the previous incarnation outside the locks.
-			<-inc.exited
-		}
-		// Discard messages that arrived while the host was down, as a
-		// rebooting UDP host would. Best-effort: a message still in
-		// flight on the wire from the down window can land after the
-		// drain and reach the new incarnation — indistinguishable, to
-		// the protocol, from one sent during the reboot itself.
-		h.drainInbox()
-		n.mu.Lock()
-		if n.closing {
-			n.mu.Unlock()
-			return ErrClosed
-		}
-		h.mu.Lock()
-		if h.inc != inc {
-			// A concurrent Respawn won; re-evaluate from scratch.
-			h.mu.Unlock()
-			n.mu.Unlock()
-			continue
-		}
-		fresh := newIncarnation()
-		h.inc = fresh
-		launch := n.started.Load()
-		if launch {
-			fresh.running = true
-			n.wg.Add(1)
-		}
-		h.mu.Unlock()
-		n.mu.Unlock()
-		if launch {
-			go h.run(fresh)
-		}
-		return nil
-	}
-}
-
-// Pause freezes the host between callbacks: the host goroutine stops
-// draining its inbox and ticks until Resume. It returns once the host is
-// actually parked, so the caller may read the host's protocol state until
-// the matching Resume (the handshake establishes the happens-before
-// edges). Returns false if the host is dead or the network stopped.
-func (h *Host) Pause() bool { return h.control(true) }
-
-// Resume unfreezes a paused host. Returns false if the host is dead or
-// the network stopped. Resuming a host that is not paused is a no-op
-// handshake.
-func (h *Host) Resume() bool { return h.control(false) }
-
-func (h *Host) control(pause bool) bool {
-	c := ctrlMsg{pause: pause, ack: make(chan struct{})}
-	for {
-		h.mu.Lock()
-		inc := h.inc
-		running := inc.running
-		h.mu.Unlock()
-		if !running || inc.dead() {
-			return false
-		}
-		select {
-		case h.ctrl <- c:
-			// Some incarnation received the command (h.ctrl is shared
-			// across incarnations) and closes ack immediately on
-			// receipt, so this wait is short and unconditional —
-			// selecting on a possibly stale inc.exited here could
-			// report a successfully parked host as dead.
-			<-c.ack
-			return true
-		case <-inc.exited:
-			// This incarnation ended; re-evaluate — a concurrent
-			// Respawn may have installed a live one.
-		case <-h.net.stop:
-			return false
-		}
-	}
-}
-
-// Attach binds a protocol to the host. period zero installs a purely
-// reactive protocol. Must be called before Network.Start.
-func (h *Host) Attach(pid proto.ProtoID, p proto.Protocol, period, offset time.Duration) error {
-	if h.find(pid) != nil {
-		return fmt.Errorf("livenet attach: protocol %d already bound at host %d", pid, h.addr)
-	}
-	h.bindings = append(h.bindings, binding{pid: pid, p: p, period: period, offset: offset})
-	for i := len(h.bindings) - 1; i > 0 && h.bindings[i].pid < h.bindings[i-1].pid; i-- {
-		h.bindings[i], h.bindings[i-1] = h.bindings[i-1], h.bindings[i]
-	}
-	return nil
-}
-
-// find returns the binding for pid, or nil. The returned pointer is stable
-// once the network has started (the slice is sealed at Start).
-func (h *Host) find(pid proto.ProtoID) *binding {
-	for i := range h.bindings {
-		if h.bindings[i].pid == pid {
-			return &h.bindings[i]
-		}
-	}
-	return nil
-}
-
-// ErrClosed is returned by Start and Respawn after Close.
-var ErrClosed = errors.New("livenet: network closed")
-
-// Start launches every live host goroutine and begins ticking.
+// Start launches the wire sweeper and every live host goroutine, and
+// begins ticking.
 func (n *Network) Start() error {
-	if n.closed.Load() {
-		return ErrClosed
-	}
-	n.mu.Lock()
-	if n.closing {
-		n.mu.Unlock()
-		return ErrClosed
-	}
-	if n.started.Load() {
-		n.mu.Unlock()
-		return errors.New("livenet: network already started")
-	}
-	n.start = time.Now()
-	// Publish started only now, under mu and after n.start is written:
-	// Respawn checks it (under mu) to decide whether to launch, and a
-	// launched goroutine reads n.start in Context.Now.
-	n.started.Store(true)
-	n.wg.Add(1)
-	go n.wire.loop()
-	// Launch hosts while still holding n.mu: every wg.Add must be
-	// ordered before a concurrent Close sets closing and calls wg.Wait
-	// (same discipline Respawn follows), or goroutines could start after
-	// Close has already drained and snapshotted.
-	for _, h := range n.hosts {
-		h.mu.Lock()
-		inc := h.inc
-		if inc.dead() || inc.running {
-			h.mu.Unlock()
-			continue
-		}
-		inc.running = true
-		n.wg.Add(1)
-		h.mu.Unlock()
-		go h.run(inc)
-	}
-	n.mu.Unlock()
-	return nil
+	return n.Runtime.Start(func(spawn func(func())) error {
+		spawn(n.wire.loop)
+		return nil
+	})
 }
 
-// run is the host main loop for one incarnation: Init all protocols
-// (after their offsets), then serve ticks, deliveries and pause/resume
-// handshakes until shutdown.
-func (h *Host) run(inc *incarnation) {
-	defer h.net.wg.Done()
-	defer close(inc.exited)
-	h.incarnations.Add(1)
-	// Stagger protocol starts without blocking the mailbox: offsets are
-	// armed as timers that enqueue an init-then-tick sequence.
-	inits := make(chan *binding, len(h.bindings))
-	var timers []*time.Timer
-	var tickers []*time.Ticker
-	for i := range h.bindings {
-		b := &h.bindings[i]
-		timers = append(timers, time.AfterFunc(b.offset, func() {
-			select {
-			case inits <- b:
-			case <-h.net.stop:
-			case <-inc.down:
-			}
-		}))
-	}
-	defer func() {
-		for _, t := range timers {
-			t.Stop()
-		}
-		for _, t := range tickers {
-			t.Stop()
-		}
-	}()
-	for {
-		select {
-		case <-h.net.stop:
-			return
-		case <-inc.down:
-			return
-		case c := <-h.ctrl:
-			close(c.ack)
-			if c.pause {
-				if !h.parked(inc) {
-					return
-				}
-			}
-		case b := <-inits:
-			b.p.Init(hostContext{h: h, pid: b.pid})
-			if b.period > 0 {
-				ticker := time.NewTicker(b.period)
-				tickers = append(tickers, ticker)
-				go h.forwardTicks(ticker, b, inc)
-			}
-		case cmd := <-h.inbox:
-			h.dispatch(cmd)
-		}
-	}
-}
+// Close stops all hosts, waits for them to exit, and settles the traffic
+// accounting: in-flight and queued-but-undispatched messages are counted
+// as dropped, so the conservation law documented on Stats holds. It is
+// idempotent.
+func (n *Network) Close() { n.Runtime.Close(nil, n.wire.drain) }
 
-// parked blocks until Resume, Kill, or network stop. It reports whether
-// the incarnation should keep running.
-func (h *Host) parked(inc *incarnation) bool {
-	for {
-		select {
-		case c := <-h.ctrl:
-			close(c.ack)
-			if !c.pause {
-				return true
-			}
-		case <-inc.down:
-			return false
-		case <-h.net.stop:
-			return false
-		}
-	}
-}
-
-func (h *Host) forwardTicks(t *time.Ticker, b *binding, inc *incarnation) {
-	for {
-		select {
-		case <-h.net.stop:
-			return
-		case <-inc.down:
-			return
-		case <-t.C:
-			if !atomic.CompareAndSwapUint32(&b.tickQueued, 0, 1) {
-				continue // a tick is already queued; coalesce
-			}
-			select {
-			case h.inbox <- command{tick: b}:
-			case <-h.net.stop:
-				atomic.StoreUint32(&b.tickQueued, 0)
-				return
-			case <-inc.down:
-				atomic.StoreUint32(&b.tickQueued, 0)
-				return
-			default:
-				// Inbox full: skip the tick rather than stall.
-				atomic.StoreUint32(&b.tickQueued, 0)
-			}
-		}
-	}
-}
-
-func (h *Host) dispatch(cmd command) {
-	if cmd.tick != nil {
-		atomic.StoreUint32(&cmd.tick.tickQueued, 0)
-		h.ticks.Add(1)
-		cmd.tick.p.Tick(hostContext{h: h, pid: cmd.tick.pid})
-		return
-	}
-	b := h.find(cmd.pid)
-	if b == nil {
-		h.net.dropped.Add(1)
-		recycle(cmd.msg)
-		return
-	}
-	h.net.delivered.Add(1)
-	h.delivered.Add(1)
-	b.p.Handle(hostContext{h: h, pid: cmd.pid}, cmd.from, cmd.msg)
-	recycle(cmd.msg)
+// command is one delivery in flight on the wire.
+type command struct {
+	from peer.Addr
+	pid  proto.ProtoID
+	msg  proto.Message
 }
 
 // send applies the fault model and enqueues the delivery, either directly
@@ -651,63 +141,28 @@ func (h *Host) dispatch(cmd command) {
 // only be called from the sending host's callback goroutine (the only
 // place protocols can send from).
 func (n *Network) send(from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
-	n.sent.Add(1)
-	rng := n.hosts[from].sendRNG
-	dropP := math.Float64frombits(n.dropBits.Load())
-	drop := dropP > 0 && rng.Float64() < dropP
-	if !drop {
-		if cut := n.partition.Load(); cut != nil && (*cut)(from, to) {
-			drop = true
-		}
+	src := n.hosts[from]
+	if !n.Admit(src, to, msg) {
+		return
 	}
 	var lat time.Duration
-	if w := n.lat.Load(); !drop && w.max > 0 {
+	if w := n.lat.Load(); w.max > 0 {
 		span := int64(w.max - w.min)
 		lat = w.min
 		if span > 0 {
-			lat += time.Duration(rng.Int63n(span + 1))
+			lat += time.Duration(src.SendRNG().Int63n(span + 1))
 		}
 	}
-	var dst *Host
-	if int(to) >= 0 && int(to) < len(n.hosts) {
-		dst = n.hosts[to]
-	}
-
-	if drop || dst == nil {
-		n.dropped.Add(1)
-		recycle(msg)
+	if int(to) < 0 || int(to) >= len(n.hosts) {
+		n.Discard(msg)
 		return
 	}
-	cmd := command{from: from, pid: pid, msg: msg}
+	dst := n.hosts[to]
 	if lat <= 0 {
-		n.deliver(dst, cmd)
+		n.Deliver(dst, from, pid, msg)
 		return
 	}
-	n.wire.enqueue(from, lat, dst, cmd)
-}
-
-// deliver places the command in the destination inbox. Messages for dead
-// hosts still enter the inbox while it has room (they are drained as
-// dropped by Kill/Close — checking liveness before every enqueue would
-// race with Kill's drain, and the accounting comes out the same); only
-// when the inbox is full does liveness pick the category, so a dead
-// host's steady-state losses read as Dropped, not inbox pressure.
-func (n *Network) deliver(dst *Host, cmd command) {
-	select {
-	case dst.inbox <- cmd:
-	case <-n.stop:
-		n.dropped.Add(1)
-		recycle(cmd.msg)
-	default:
-		if dst.Stopped() {
-			n.dropped.Add(1)
-			recycle(cmd.msg)
-			return
-		}
-		n.overflow.Add(1)
-		dst.overflow.Add(1)
-		recycle(cmd.msg)
-	}
+	n.wire.enqueue(from, lat, dst, command{from: from, pid: pid, msg: msg})
 }
 
 // wire models propagation delay with sharded timing wheels: each shard is a
@@ -818,7 +273,6 @@ func (w *wire) enqueue(from peer.Addr, delay time.Duration, dst *Host, cmd comma
 // earliest pending deadline (or a wake from an earlier enqueue). It exits
 // on network stop; Close then drains what remains.
 func (w *wire) loop() {
-	defer w.net.wg.Done()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
@@ -840,7 +294,8 @@ func (w *wire) loop() {
 			s.mu.Unlock()
 		}
 		for i := range w.scratch {
-			w.net.deliver(w.scratch[i].dst, w.scratch[i].cmd)
+			f := w.scratch[i]
+			w.net.Deliver(f.dst, f.cmd.from, f.cmd.pid, f.cmd.msg)
 			w.scratch[i] = flight{}
 		}
 		sleep := time.Hour
@@ -858,7 +313,7 @@ func (w *wire) loop() {
 		}
 		timer.Reset(sleep)
 		select {
-		case <-w.net.stop:
+		case <-w.net.Done():
 			return
 		case <-w.wake:
 		case <-timer.C:
@@ -871,118 +326,11 @@ func (w *wire) loop() {
 // straggling sender (a host goroutine finishing its last callback) cannot
 // race the teardown accounting.
 func (w *wire) drain() {
-	var stranded int64
 	for i := range w.shards {
 		s := &w.shards[i]
 		s.mu.Lock()
-		s.q.Drain(func(f flight) {
-			stranded++
-			recycle(f.cmd.msg)
-		})
+		s.q.Drain(func(f flight) { w.net.Discard(f.cmd.msg) })
 		s.next = math.MaxInt64
 		s.mu.Unlock()
 	}
-	w.net.dropped.Add(stranded)
 }
-
-// Close stops all hosts, waits for them to exit, and settles the traffic
-// accounting: in-flight and queued-but-undispatched messages are counted
-// as dropped, so the conservation law documented on Stats holds. It is
-// idempotent.
-func (n *Network) Close() {
-	if n.closed.Swap(true) {
-		return
-	}
-	n.mu.Lock()
-	n.closing = true
-	n.mu.Unlock()
-	close(n.stop)
-	n.wg.Wait()
-	if n.started.Load() {
-		n.wire.drain()
-	}
-	n.mu.Lock()
-	hosts := n.hosts
-	n.mu.Unlock()
-	for _, h := range hosts {
-		h.drainInbox()
-	}
-}
-
-// PauseAll pauses every live host, in parallel, and returns once all of
-// them are parked. Combined with ResumeAll it brackets a consistent
-// whole-network measurement without stopping the clock.
-func (n *Network) PauseAll() { n.controlAll(true) }
-
-// ResumeAll resumes every live host.
-func (n *Network) ResumeAll() { n.controlAll(false) }
-
-func (n *Network) controlAll(pause bool) {
-	n.mu.Lock()
-	hosts := make([]*Host, len(n.hosts))
-	copy(hosts, n.hosts)
-	n.mu.Unlock()
-	// The handshakes are wait-bound (each blocks until the target host
-	// goroutine gets scheduled), not CPU-bound, so fan out far wider
-	// than GOMAXPROCS: with serial handshakes a loaded scheduler pays
-	// one full scheduling round-trip per host, which at thousands of
-	// hosts turns a measurement barrier into seconds.
-	workers := 256
-	if workers > len(hosts) {
-		workers = len(hosts)
-	}
-	if workers < 1 {
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan *Host, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for h := range next {
-				h.control(pause)
-			}
-		}()
-	}
-	for _, h := range hosts {
-		next <- h
-	}
-	close(next)
-	wg.Wait()
-}
-
-// Snapshot returns a consistent snapshot of the traffic counters: the
-// four counters are re-read until two consecutive passes agree, so a
-// mid-run snapshot is a plausible cut of the counter stream rather than
-// four unrelated instants. At quiescence (after Close) it is exact and
-// satisfies Sent == Delivered + Dropped + Overflow.
-func (n *Network) Snapshot() Stats {
-	prev := n.readStats()
-	for i := 0; i < 8; i++ {
-		cur := n.readStats()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev
-}
-
-func (n *Network) readStats() Stats {
-	// Sent is read last: every message is counted sent before it can be
-	// counted delivered/dropped/overflowed, so with monotonic counters
-	// this ordering guarantees Delivered+Dropped+Overflow <= Sent even
-	// for a torn read — a snapshot can undercount outcomes, never show
-	// more outcomes than sends.
-	st := Stats{
-		Dropped:   n.dropped.Load(),
-		Delivered: n.delivered.Load(),
-		Overflow:  n.overflow.Load(),
-	}
-	st.Sent = n.sent.Load()
-	return st
-}
-
-// Stats returns a snapshot of the traffic counters; see Snapshot.
-func (n *Network) Stats() Stats { return n.Snapshot() }

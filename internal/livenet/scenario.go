@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/peer"
 )
 
 // EventOp enumerates the churn/failure actions a scenario can schedule.
@@ -67,6 +69,24 @@ type Event struct {
 	// Split is the partition boundary (OpPartition): hosts with
 	// Addr < Split form one side.
 	Split int
+}
+
+// KillCount is how many of alive running hosts an OpKill event crashes:
+// Frac of them, at least one, but never so many that fewer than two
+// survive to gossip with each other. A result below one means none.
+func (e Event) KillCount(alive int) int {
+	k := int(e.Frac * float64(alive))
+	if k == 0 && e.Frac > 0 {
+		k = 1
+	}
+	return min(k, alive-2)
+}
+
+// Cut returns the OpPartition predicate for boundary split: it reports
+// true for messages between a host with Addr < split and one without.
+func Cut(split int) func(from, to peer.Addr) bool {
+	s := peer.Addr(split)
+	return func(from, to peer.Addr) bool { return (from < s) != (to < s) }
 }
 
 // String renders the event in the canonical golden-trace form.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/peer"
+	"repro/internal/proto"
 )
 
 // TestLiveSendPathConcurrentFaultMutation hammers the runtime-mutable
@@ -198,10 +199,14 @@ func TestLiveWireCloseRacesDrain(t *testing.T) {
 func TestWireWakeOnEarlierDeadline(t *testing.T) {
 	net := New(Config{Seed: 79})
 	a, b := net.AddHost(), net.AddHost()
+	got := make(signalProto, 1)
+	if err := a.Attach(1, got, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Start(); err != nil {
+		t.Fatal(err)
+	}
 	w := net.wire
-	net.started.Store(true) // the sweeper alone; no host goroutines
-	net.wg.Add(1)
-	go w.loop()
 
 	w.enqueue(a.Addr(), 5*time.Second, b, command{from: a.Addr(), pid: 1})
 	time.Sleep(20 * time.Millisecond) // let the sweeper arm the 5s timer
@@ -210,7 +215,7 @@ func TestWireWakeOnEarlierDeadline(t *testing.T) {
 
 	deadline := time.After(3 * time.Second)
 	select {
-	case <-a.inbox:
+	case <-got:
 		if waited := time.Since(start); waited > 2*time.Second {
 			t.Fatalf("near flight took %v; the sweeper slept toward the far deadline", waited)
 		}
@@ -218,4 +223,17 @@ func TestWireWakeOnEarlierDeadline(t *testing.T) {
 		t.Fatal("near flight never delivered: earlier-deadline enqueue did not wake the sweeper")
 	}
 	net.Close()
+}
+
+// signalProto is a reactive protocol that reports each delivery on the
+// channel, without blocking.
+type signalProto chan struct{}
+
+func (signalProto) Init(proto.Context) {}
+func (signalProto) Tick(proto.Context) {}
+func (s signalProto) Handle(proto.Context, peer.Addr, proto.Message) {
+	select {
+	case s <- struct{}{}:
+	default:
+	}
 }

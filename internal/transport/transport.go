@@ -15,15 +15,14 @@
 // versioned handshake, bounded send queues, and reconnect under capped
 // exponential backoff.
 //
-// The host model mirrors livenet exactly — one goroutine per host, a
-// bounded inbox, Attach/Kill/Respawn/Pause/Resume, per-binding tick
-// coalescing — so the experiment harness drives all three engines through
-// the same motions. Determinism is necessarily weaker here: the kernel
-// schedules packets, so only statistical convergence trends are
-// reproducible (asserted by the cross-engine equivalence tests), not
-// message interleavings.
+// Hosts run on the shared host runtime (internal/hostrt), so the
+// experiment harness drives all three engines through the same motions;
+// this package contributes the send path and the sockets behind it.
+// Determinism is necessarily weaker here: the kernel schedules packets, so
+// only statistical convergence trends are reproducible (asserted by the
+// cross-engine equivalence tests), not message interleavings.
 //
-// Accounting mirrors livenet's conservation law. Every send is counted
+// Accounting follows the runtime's conservation law. Every send is counted
 // Sent and lands in exactly one outcome bucket: Delivered (dispatched to
 // a protocol on the destination process), Overflow (bounced off a full
 // send queue or a full destination inbox), or Dropped (sender-side fault
@@ -44,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -52,6 +50,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hostrt"
 	"repro/internal/peer"
 	"repro/internal/proto"
 	"repro/internal/wire"
@@ -130,33 +129,14 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Stats is a snapshot of this process's traffic counters; see the package
-// comment for the cross-process conservation law.
-type Stats struct {
-	Sent      int64
-	Dropped   int64
-	Delivered int64
-	Overflow  int64
-}
-
-// Add accumulates another process's counters (used by campaign drivers).
-func (s *Stats) Add(o Stats) {
-	s.Sent += o.Sent
-	s.Dropped += o.Dropped
-	s.Delivered += o.Delivered
-	s.Overflow += o.Overflow
-}
-
-// HostStats is a per-host traffic snapshot, mirroring livenet.HostStats.
-type HostStats struct {
-	Delivered    int64
-	Overflow     int64
-	Ticks        int64
-	Incarnations int64
-}
-
-// partitionFunc is a cut predicate; see SetPartition.
-type partitionFunc func(from, to peer.Addr) bool
+// The host runtime and its traffic counters are hostrt's; these aliases
+// keep the engine's exported surface. Stats is this process's share; see
+// the package comment for the cross-process conservation law.
+type (
+	Host      = hostrt.Host
+	Stats     = hostrt.Stats
+	HostStats = hostrt.HostStats
+)
 
 // handshake framing: magic, wire version, and the dialing process index.
 var handshakeMagic = [4]byte{'R', 'P', 'W', wire.Version}
@@ -164,38 +144,27 @@ var handshakeMagic = [4]byte{'R', 'P', 'W', wire.Version}
 const handshakeLen = 4 + 4 // magic + uint32 proc
 
 // ErrClosed is returned by Start and Respawn after Close.
-var ErrClosed = errors.New("transport: network closed")
+var ErrClosed = hostrt.ErrClosed
 
-// Network is one process's shard: the local hosts, the listener they
-// receive through, and one peer loop per destination process.
+// Network is one process's shard: the local hosts on the shared runtime,
+// the listener they receive through, and one peer loop per destination
+// process.
 type Network struct {
+	*hostrt.Runtime
 	cfg   Config
-	mu    sync.Mutex
-	rng   *rand.Rand // guarded by mu: host seeding
-	hosts []*Host    // index = global addr; nil for non-local shards
-	local []*Host    // the non-nil subset, in addr order
+	hosts []*Host // index = global addr; nil for non-local shards
+	local []*Host // the non-nil subset, in addr order
 	peers []*peerLoop
-	wg    sync.WaitGroup
-	stop  chan struct{}
 
-	listener net.Listener
-	udp      *net.UDPConn
-	conns    map[net.Conn]struct{} // guarded by mu: inbound conns for teardown
-
-	closed    atomic.Bool
-	closing   bool // guarded by mu: no wg.Add once set
-	started   atomic.Bool
-	start     time.Time
-	noTicks   atomic.Bool // StopTicks: quiesce the tick sources
-	dropBits  atomic.Uint64
-	partition atomic.Pointer[partitionFunc]
+	listener net.Listener // set by Start
+	udp      *net.UDPConn // set by Start
+	connMu   sync.Mutex
+	conns    map[net.Conn]struct{} // guarded by connMu: inbound conns for teardown
 
 	// inflight counts frames accepted into a send queue but not yet
 	// handed to the kernel (or dropped); Quiesce requires it to reach
 	// zero before trusting counter stability.
 	inflight atomic.Int64
-
-	sent, dropped, delivered, overflow atomic.Int64
 }
 
 // New builds the shard: every local host (addr % Procs == Proc) is
@@ -207,30 +176,21 @@ func New(cfg Config) (*Network, error) {
 	cfg = cfg.withDefaults()
 	n := &Network{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		hosts: make([]*Host, cfg.N),
 		peers: make([]*peerLoop, cfg.Procs),
-		stop:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
 	}
-	n.dropBits.Store(math.Float64bits(cfg.Drop))
+	n.Runtime = hostrt.New(cfg.InboxSize, cfg.Drop, n.send)
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	for addr := 0; addr < cfg.N; addr++ {
 		// Host RNG seeds are drawn in global addr order from the shared
 		// seed so a host's seed does not depend on the process count —
 		// skipping the draws of non-local hosts keeps the stream aligned.
-		seed1, seed2 := n.rng.Int63(), n.rng.Int63()
+		seed1, seed2 := rng.Int63(), rng.Int63()
 		if addr%cfg.Procs != cfg.Proc {
 			continue
 		}
-		h := &Host{
-			net:     n,
-			addr:    peer.Addr(addr),
-			inbox:   make(chan command, cfg.InboxSize),
-			rng:     rand.New(rand.NewSource(seed1)),
-			sendRNG: rand.New(rand.NewSource(seed2)),
-			ctrl:    make(chan ctrlMsg),
-			inc:     newIncarnation(),
-		}
+		h := n.Runtime.AddHost(peer.Addr(addr), seed1, seed2)
 		n.hosts[addr] = h
 		n.local = append(n.local, h)
 	}
@@ -254,28 +214,6 @@ func (n *Network) Local(addr peer.Addr) bool {
 	return int(addr) >= 0 && int(addr) < n.cfg.N && int(addr)%n.cfg.Procs == n.cfg.Proc
 }
 
-// SetDrop changes the sender-side loss probability at runtime.
-func (n *Network) SetDrop(p float64) { n.dropBits.Store(math.Float64bits(p)) }
-
-// SetPartition installs a cut predicate applied on the sender: messages
-// for which fn(from, to) reports true are dropped before reaching the
-// socket. Every process of a campaign must install the same predicate for
-// a coherent global partition. Passing nil heals the cut.
-func (n *Network) SetPartition(fn func(from, to peer.Addr) bool) {
-	if fn == nil {
-		n.partition.Store(nil)
-		return
-	}
-	pf := partitionFunc(fn)
-	n.partition.Store(&pf)
-}
-
-// StopTicks stops every tick source without touching the hosts: queued
-// and in-flight traffic keeps flowing and replies are still generated,
-// but no new gossip rounds start. It is the first step of the quiesce
-// protocol (see Quiesce) and is irreversible for the network's lifetime.
-func (n *Network) StopTicks() { n.noTicks.Store(true) }
-
 // Quiesce waits for this process's traffic to settle: no frames pending
 // in send queues and the counters unchanged across several consecutive
 // polls. Call StopTicks first (on every process of the campaign); with
@@ -286,10 +224,10 @@ func (n *Network) Quiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	const needStable = 5
 	stable := 0
-	prev := n.readStats()
+	prev := n.Snapshot()
 	for time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
-		cur := n.readStats()
+		cur := n.Snapshot()
 		if n.inflight.Load() == 0 && cur == prev {
 			if stable++; stable >= needStable {
 				return true
@@ -302,433 +240,35 @@ func (n *Network) Quiesce(timeout time.Duration) bool {
 	return false
 }
 
-// command is one unit of work for a host goroutine.
-type command struct {
-	tick *binding
-	from peer.Addr
-	pid  proto.ProtoID
-	msg  proto.Message
-}
-
-// binding mirrors livenet.binding: one (protocol, schedule) pair in the
-// host's pid-sorted value slice, sealed at Start. tickQueued coalesces
-// ticks exactly as livenet does (see that package for why it is a bare
-// uint32 rather than atomic.Bool).
-type binding struct {
-	pid        proto.ProtoID
-	p          proto.Protocol
-	period     time.Duration
-	offset     time.Duration
-	tickQueued uint32
-}
-
-type incarnation struct {
-	down     chan struct{}
-	downOnce sync.Once
-	exited   chan struct{}
-	running  bool // guarded by Host.mu
-}
-
-func newIncarnation() *incarnation {
-	return &incarnation{down: make(chan struct{}), exited: make(chan struct{})}
-}
-
-func (inc *incarnation) kill() { inc.downOnce.Do(func() { close(inc.down) }) }
-
-func (inc *incarnation) dead() bool {
-	select {
-	case <-inc.down:
-		return true
-	default:
-		return false
-	}
-}
-
-type ctrlMsg struct {
-	pause bool
-	ack   chan struct{}
-}
-
-// Host is one node of the campaign owned by this process. All protocol
-// callbacks run on the host's single goroutine.
-type Host struct {
-	net     *Network
-	addr    peer.Addr
-	inbox   chan command
-	rng     *rand.Rand
-	sendRNG *rand.Rand
-	// bindings is pid-sorted and sealed at Network.Start.
-	bindings []binding
-	ctrl     chan ctrlMsg
-
-	mu  sync.Mutex
-	inc *incarnation
-
-	delivered, overflow, ticks, incarnations atomic.Int64
-}
-
-// Addr returns the host's global address.
-func (h *Host) Addr() peer.Addr { return h.addr }
-
-// Stats returns the host's per-host counters.
-func (h *Host) Stats() HostStats {
-	return HostStats{
-		Delivered:    h.delivered.Load(),
-		Overflow:     h.overflow.Load(),
-		Ticks:        h.ticks.Load(),
-		Incarnations: h.incarnations.Load(),
-	}
-}
-
-// hostContext implements proto.Context for transport callbacks.
-type hostContext struct {
-	h   *Host
-	pid proto.ProtoID
-}
-
-var _ proto.Context = hostContext{}
-
-func (c hostContext) Self() peer.Addr  { return c.h.addr }
-func (c hostContext) Now() int64       { return time.Since(c.h.net.start).Milliseconds() }
-func (c hostContext) Rand() *rand.Rand { return c.h.rng }
-func (c hostContext) Send(to peer.Addr, msg proto.Message) {
-	c.h.net.send(c.h, to, c.pid, msg)
-}
-
-// Attach binds a protocol to the host; must precede Network.Start.
-func (h *Host) Attach(pid proto.ProtoID, p proto.Protocol, period, offset time.Duration) error {
-	if h.find(pid) != nil {
-		return fmt.Errorf("transport attach: protocol %d already bound at host %d", pid, h.addr)
-	}
-	h.bindings = append(h.bindings, binding{pid: pid, p: p, period: period, offset: offset})
-	for i := len(h.bindings) - 1; i > 0 && h.bindings[i].pid < h.bindings[i-1].pid; i-- {
-		h.bindings[i], h.bindings[i-1] = h.bindings[i-1], h.bindings[i]
-	}
-	return nil
-}
-
-func (h *Host) find(pid proto.ProtoID) *binding {
-	for i := range h.bindings {
-		if h.bindings[i].pid == pid {
-			return &h.bindings[i]
-		}
-	}
-	return nil
-}
-
-// Kill crashes the host (see livenet.Host.Kill — identical semantics:
-// waits for the goroutine, drains the inbox as dropped, survives racing
-// Respawns).
-func (h *Host) Kill() {
-	for {
-		h.mu.Lock()
-		inc := h.inc
-		h.mu.Unlock()
-		inc.kill()
-		h.mu.Lock()
-		running := inc.running
-		h.mu.Unlock()
-		if running {
-			<-inc.exited
-		}
-		h.drainInbox()
-		h.mu.Lock()
-		same := h.inc == inc
-		h.mu.Unlock()
-		if same {
-			return
-		}
-	}
-}
-
-// Stopped reports whether the host's current incarnation has been killed.
-func (h *Host) Stopped() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.inc.dead()
-}
-
-func (h *Host) drainInbox() {
-	for {
-		select {
-		case cmd := <-h.inbox:
-			if cmd.tick != nil {
-				atomic.StoreUint32(&cmd.tick.tickQueued, 0)
-			} else {
-				h.net.dropped.Add(1)
-				recycle(cmd.msg)
-			}
-		default:
-			return
-		}
-	}
-}
-
-// recycle retires a message exactly once (see proto.Recyclable).
-func recycle(m proto.Message) {
-	if r, ok := m.(proto.Recyclable); ok {
-		r.Recycle()
-	}
-}
-
-// Respawn restarts a killed host with its protocol state intact (the
-// crash-recovery model; see livenet.Host.Respawn).
-func (h *Host) Respawn() error {
-	n := h.net
-	for {
-		if n.closed.Load() {
-			return ErrClosed
-		}
-		h.mu.Lock()
-		inc := h.inc
-		running := inc.running
-		h.mu.Unlock()
-		if !inc.dead() {
-			return nil
-		}
-		if running {
-			<-inc.exited
-		}
-		h.drainInbox()
-		n.mu.Lock()
-		if n.closing {
-			n.mu.Unlock()
-			return ErrClosed
-		}
-		h.mu.Lock()
-		if h.inc != inc {
-			h.mu.Unlock()
-			n.mu.Unlock()
-			continue
-		}
-		fresh := newIncarnation()
-		h.inc = fresh
-		launch := n.started.Load()
-		if launch {
-			fresh.running = true
-			n.wg.Add(1)
-		}
-		h.mu.Unlock()
-		n.mu.Unlock()
-		if launch {
-			go h.run(fresh)
-		}
-		return nil
-	}
-}
-
-// Pause freezes the host between callbacks until Resume; see
-// livenet.Host.Pause for the handshake contract.
-func (h *Host) Pause() bool { return h.control(true) }
-
-// Resume unfreezes a paused host.
-func (h *Host) Resume() bool { return h.control(false) }
-
-func (h *Host) control(pause bool) bool {
-	c := ctrlMsg{pause: pause, ack: make(chan struct{})}
-	for {
-		h.mu.Lock()
-		inc := h.inc
-		running := inc.running
-		h.mu.Unlock()
-		if !running || inc.dead() {
-			return false
-		}
-		select {
-		case h.ctrl <- c:
-			<-c.ack
-			return true
-		case <-inc.exited:
-		case <-h.net.stop:
-			return false
-		}
-	}
-}
-
 // Start binds the listener, launches the accept loop, the peer writers,
 // and every live host goroutine.
 func (n *Network) Start() error {
-	if n.closed.Load() {
-		return ErrClosed
-	}
-	n.mu.Lock()
-	if n.closing {
-		n.mu.Unlock()
-		return ErrClosed
-	}
-	if n.started.Load() {
-		n.mu.Unlock()
-		return errors.New("transport: network already started")
-	}
-	bind := fmt.Sprintf("127.0.0.1:%d", n.cfg.BasePort+n.cfg.Proc)
-	if n.cfg.UDP {
-		uaddr, err := net.ResolveUDPAddr("udp", bind)
-		if err != nil {
-			n.mu.Unlock()
-			return err
-		}
-		conn, err := net.ListenUDP("udp", uaddr)
-		if err != nil {
-			n.mu.Unlock()
-			return fmt.Errorf("transport: bind %s: %w", bind, err)
-		}
-		n.udp = conn
-		n.wg.Add(1)
-		go n.readUDP(conn)
-	} else {
-		l, err := net.Listen("tcp", bind)
-		if err != nil {
-			n.mu.Unlock()
-			return fmt.Errorf("transport: bind %s: %w", bind, err)
-		}
-		n.listener = l
-		n.wg.Add(1)
-		go n.acceptLoop(l)
-	}
-	n.start = time.Now()
-	n.started.Store(true)
-	for _, p := range n.peers {
-		n.wg.Add(1)
-		go p.run()
-	}
-	// Launch hosts under mu: every wg.Add must be ordered before a
-	// concurrent Close sets closing and waits.
-	for _, h := range n.local {
-		h.mu.Lock()
-		inc := h.inc
-		if inc.dead() || inc.running {
-			h.mu.Unlock()
-			continue
-		}
-		inc.running = true
-		n.wg.Add(1)
-		h.mu.Unlock()
-		go h.run(inc)
-	}
-	n.mu.Unlock()
-	return nil
-}
-
-// run is the host main loop for one incarnation; structurally identical
-// to livenet.Host.run.
-func (h *Host) run(inc *incarnation) {
-	defer h.net.wg.Done()
-	defer close(inc.exited)
-	h.incarnations.Add(1)
-	inits := make(chan *binding, len(h.bindings))
-	var timers []*time.Timer
-	var tickers []*time.Ticker
-	for i := range h.bindings {
-		b := &h.bindings[i]
-		timers = append(timers, time.AfterFunc(b.offset, func() {
-			select {
-			case inits <- b:
-			case <-h.net.stop:
-			case <-inc.down:
+	return n.Runtime.Start(func(spawn func(func())) error {
+		bind := fmt.Sprintf("127.0.0.1:%d", n.cfg.BasePort+n.cfg.Proc)
+		if n.cfg.UDP {
+			uaddr, err := net.ResolveUDPAddr("udp", bind)
+			if err != nil {
+				return err
 			}
-		}))
-	}
-	defer func() {
-		for _, t := range timers {
-			t.Stop()
+			conn, err := net.ListenUDP("udp", uaddr)
+			if err != nil {
+				return fmt.Errorf("transport: bind %s: %w", bind, err)
+			}
+			n.udp = conn
+			spawn(func() { n.readUDP(conn) })
+		} else {
+			l, err := net.Listen("tcp", bind)
+			if err != nil {
+				return fmt.Errorf("transport: bind %s: %w", bind, err)
+			}
+			n.listener = l
+			spawn(func() { n.acceptLoop(l) })
 		}
-		for _, t := range tickers {
-			t.Stop()
+		for _, p := range n.peers {
+			spawn(p.run)
 		}
-	}()
-	for {
-		select {
-		case <-h.net.stop:
-			return
-		case <-inc.down:
-			return
-		case c := <-h.ctrl:
-			close(c.ack)
-			if c.pause {
-				if !h.parked(inc) {
-					return
-				}
-			}
-		case b := <-inits:
-			if !h.net.noTicks.Load() {
-				b.p.Init(hostContext{h: h, pid: b.pid})
-			}
-			if b.period > 0 {
-				ticker := time.NewTicker(b.period)
-				tickers = append(tickers, ticker)
-				go h.forwardTicks(ticker, b, inc)
-			}
-		case cmd := <-h.inbox:
-			h.dispatch(cmd)
-		}
-	}
-}
-
-func (h *Host) parked(inc *incarnation) bool {
-	for {
-		select {
-		case c := <-h.ctrl:
-			close(c.ack)
-			if !c.pause {
-				return true
-			}
-		case <-inc.down:
-			return false
-		case <-h.net.stop:
-			return false
-		}
-	}
-}
-
-func (h *Host) forwardTicks(t *time.Ticker, b *binding, inc *incarnation) {
-	for {
-		select {
-		case <-h.net.stop:
-			return
-		case <-inc.down:
-			return
-		case <-t.C:
-			if h.net.noTicks.Load() {
-				continue // quiescing: stop feeding new gossip rounds
-			}
-			if !atomic.CompareAndSwapUint32(&b.tickQueued, 0, 1) {
-				continue
-			}
-			select {
-			case h.inbox <- command{tick: b}:
-			case <-h.net.stop:
-				atomic.StoreUint32(&b.tickQueued, 0)
-				return
-			case <-inc.down:
-				atomic.StoreUint32(&b.tickQueued, 0)
-				return
-			default:
-				atomic.StoreUint32(&b.tickQueued, 0)
-			}
-		}
-	}
-}
-
-func (h *Host) dispatch(cmd command) {
-	if cmd.tick != nil {
-		atomic.StoreUint32(&cmd.tick.tickQueued, 0)
-		if h.net.noTicks.Load() {
-			return
-		}
-		h.ticks.Add(1)
-		cmd.tick.p.Tick(hostContext{h: h, pid: cmd.tick.pid})
-		return
-	}
-	b := h.find(cmd.pid)
-	if b == nil {
-		h.net.dropped.Add(1)
-		recycle(cmd.msg)
-		return
-	}
-	h.net.delivered.Add(1)
-	h.delivered.Add(1)
-	b.p.Handle(hostContext{h: h, pid: cmd.pid}, cmd.from, cmd.msg)
-	recycle(cmd.msg)
+		return nil
+	})
 }
 
 // frameBufPool recycles encode buffers; pointers-to-slices so Put/Get do
@@ -748,18 +288,11 @@ var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return
 // unserialisable payload across processes is an engine-contract violation,
 // not a runtime condition.
 func (n *Network) send(from *Host, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
-	n.sent.Add(1)
-	rng := from.sendRNG
-	dropP := math.Float64frombits(n.dropBits.Load())
-	drop := dropP > 0 && rng.Float64() < dropP
-	if !drop {
-		if cut := n.partition.Load(); cut != nil && (*cut)(from.addr, to) {
-			drop = true
-		}
+	if !n.Admit(from, to, msg) {
+		return
 	}
-	if drop || int(to) < 0 || int(to) >= n.cfg.N {
-		n.dropped.Add(1)
-		recycle(msg)
+	if int(to) < 0 || int(to) >= n.cfg.N {
+		n.Discard(msg)
 		return
 	}
 	m, ok := msg.(*core.Message)
@@ -767,12 +300,12 @@ func (n *Network) send(from *Host, to peer.Addr, pid proto.ProtoID, msg proto.Me
 		if !n.Local(to) {
 			panic(fmt.Sprintf("transport: payload %T has no wire encoding and host %d is remote", msg, to))
 		}
-		n.deliver(n.hosts[to], command{from: from.addr, pid: pid, msg: msg})
+		n.Deliver(n.hosts[to], from.Addr(), pid, msg)
 		return
 	}
 	bufp := frameBufPool.Get().(*[]byte)
-	*bufp = wire.AppendFrame((*bufp)[:0], wire.Envelope{From: from.addr, To: to, Pid: pid}, m)
-	recycle(m)
+	*bufp = wire.AppendFrame((*bufp)[:0], wire.Envelope{From: from.Addr(), To: to, Pid: pid}, m)
+	m.Recycle()
 	p := n.peers[int(to)%n.cfg.Procs]
 	n.inflight.Add(1)
 	select {
@@ -781,43 +314,21 @@ func (n *Network) send(from *Host, to peer.Addr, pid proto.ProtoID, msg proto.Me
 		// Send queue full: the destination process is reading slower
 		// than we produce — kernel backpressure surfaced as Overflow.
 		n.inflight.Add(-1)
-		n.overflow.Add(1)
+		n.Overflow()
 		releaseFrame(bufp)
 	}
 }
 
 func releaseFrame(bufp *[]byte) { frameBufPool.Put(bufp) }
 
-// deliver places a decoded command in the destination inbox with
-// livenet's exact outcome taxonomy: room → delivered later by dispatch;
-// full+dead → Dropped; full+live → Overflow.
-func (n *Network) deliver(dst *Host, cmd command) {
-	select {
-	case dst.inbox <- cmd:
-	case <-n.stop:
-		n.dropped.Add(1)
-		recycle(cmd.msg)
-	default:
-		if dst.Stopped() {
-			n.dropped.Add(1)
-			recycle(cmd.msg)
-			return
-		}
-		n.overflow.Add(1)
-		dst.overflow.Add(1)
-		recycle(cmd.msg)
-	}
-}
-
 // route dispatches one decoded frame to its local host; non-local or
 // unknown destinations are dropped (they were counted Sent by the peer).
 func (n *Network) route(env wire.Envelope, m *core.Message) {
 	if !n.Local(env.To) {
-		n.dropped.Add(1)
-		m.Recycle()
+		n.Discard(m)
 		return
 	}
-	n.deliver(n.hosts[env.To], command{from: env.From, pid: env.Pid, msg: m})
+	n.Deliver(n.hosts[env.To], env.From, env.Pid, m)
 }
 
 // peerLoop is the sending side of one process-to-process link: a bounded
@@ -838,7 +349,6 @@ const initialBackoff = 20 * time.Millisecond
 // re-dials with backoff. Frames stranded at shutdown drain as dropped.
 func (p *peerLoop) run() {
 	n := p.net
-	defer n.wg.Done()
 	var conn net.Conn
 	defer func() {
 		if conn != nil {
@@ -849,7 +359,7 @@ func (p *peerLoop) run() {
 	for {
 		var bufp *[]byte
 		select {
-		case <-n.stop:
+		case <-n.Done():
 			return
 		case bufp = <-p.queue:
 		}
@@ -857,7 +367,7 @@ func (p *peerLoop) run() {
 			if conn == nil {
 				conn = p.dial()
 				if conn == nil { // network stopping
-					n.dropped.Add(1)
+					n.Discard(nil)
 					n.inflight.Add(-1)
 					releaseFrame(bufp)
 					return
@@ -868,7 +378,7 @@ func (p *peerLoop) run() {
 				if err != nil {
 					// A UDP send error is local (no route, full socket
 					// buffer); the datagram is gone either way.
-					n.dropped.Add(1)
+					n.Discard(nil)
 				}
 				break
 			}
@@ -876,8 +386,8 @@ func (p *peerLoop) run() {
 				conn.Close()
 				conn = nil
 				select {
-				case <-n.stop:
-					n.dropped.Add(1)
+				case <-n.Done():
+					n.Discard(nil)
 					n.inflight.Add(-1)
 					releaseFrame(bufp)
 					return
@@ -905,7 +415,7 @@ func (p *peerLoop) dial() net.Conn {
 	backoff := initialBackoff
 	for {
 		select {
-		case <-n.stop:
+		case <-n.Done():
 			return nil
 		default:
 		}
@@ -928,7 +438,7 @@ func (p *peerLoop) dial() net.Conn {
 		}
 		t := time.NewTimer(backoff)
 		select {
-		case <-n.stop:
+		case <-n.Done():
 			t.Stop()
 			return nil
 		case <-t.C:
@@ -945,7 +455,7 @@ func (p *peerLoop) drain() {
 	for {
 		select {
 		case bufp := <-p.queue:
-			p.net.dropped.Add(1)
+			p.net.Discard(nil)
 			p.net.inflight.Add(-1)
 			releaseFrame(bufp)
 		default:
@@ -956,12 +466,11 @@ func (p *peerLoop) drain() {
 
 // acceptLoop serves inbound TCP connections: one reader goroutine each.
 func (n *Network) acceptLoop(l net.Listener) {
-	defer n.wg.Done()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			select {
-			case <-n.stop:
+			case <-n.Done():
 				return
 			default:
 			}
@@ -970,16 +479,15 @@ func (n *Network) acceptLoop(l net.Listener) {
 			}
 			continue
 		}
-		n.mu.Lock()
-		if n.closing {
-			n.mu.Unlock()
+		admit := func() {
+			n.connMu.Lock()
+			n.conns[conn] = struct{}{}
+			n.connMu.Unlock()
+		}
+		if !n.Go(admit, func() { n.readConn(conn) }) {
 			conn.Close()
 			return
 		}
-		n.conns[conn] = struct{}{}
-		n.wg.Add(1)
-		n.mu.Unlock()
-		go n.readConn(conn)
 	}
 }
 
@@ -987,12 +495,11 @@ func (n *Network) acceptLoop(l net.Listener) {
 // ends. A decode error poisons the stream (framing can no longer be
 // trusted), so the connection is closed; the dialer reconnects.
 func (n *Network) readConn(conn net.Conn) {
-	defer n.wg.Done()
 	defer func() {
 		conn.Close()
-		n.mu.Lock()
+		n.connMu.Lock()
 		delete(n.conns, conn)
-		n.mu.Unlock()
+		n.connMu.Unlock()
 	}()
 	var hs [handshakeLen]byte
 	if _, err := io.ReadFull(conn, hs[:]); err != nil {
@@ -1016,7 +523,7 @@ func (n *Network) readConn(conn net.Conn) {
 			// The peer counted this frame Sent; its bytes arrived but
 			// cannot be understood — account it before poisoning the
 			// stream.
-			n.dropped.Add(1)
+			n.Discard(nil)
 			return
 		}
 		n.route(env, m)
@@ -1026,13 +533,12 @@ func (n *Network) readConn(conn net.Conn) {
 // readUDP decodes one frame per datagram. Datagrams still carry the
 // 4-byte length prefix so the two modes share the exact wire format.
 func (n *Network) readUDP(conn *net.UDPConn) {
-	defer n.wg.Done()
 	buf := make([]byte, 64*1024)
 	for {
 		sz, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			select {
-			case <-n.stop:
+			case <-n.Done():
 				return
 			default:
 			}
@@ -1042,17 +548,17 @@ func (n *Network) readUDP(conn *net.UDPConn) {
 			continue
 		}
 		if sz < 4 {
-			n.dropped.Add(1)
+			n.Discard(nil)
 			continue
 		}
 		want := binary.LittleEndian.Uint32(buf[:4])
 		if int(want) != sz-4 {
-			n.dropped.Add(1)
+			n.Discard(nil)
 			continue
 		}
 		env, m, err := wire.Decode(buf[4:sz])
 		if err != nil {
-			n.dropped.Add(1)
+			n.Discard(nil)
 			continue
 		}
 		n.route(env, m)
@@ -1065,95 +571,23 @@ func (n *Network) readUDP(conn *net.UDPConn) {
 // + Quiesce first (on every process); Close alone can strand bytes in
 // kernel buffers, which only the cross-process sum at quiescence sees.
 func (n *Network) Close() {
-	if n.closed.Swap(true) {
-		return
-	}
-	n.mu.Lock()
-	n.closing = true
-	l, u := n.listener, n.udp
-	conns := make([]net.Conn, 0, len(n.conns))
-	for c := range n.conns {
-		conns = append(conns, c)
-	}
-	n.mu.Unlock()
-	close(n.stop)
-	if l != nil {
-		l.Close()
-	}
-	if u != nil {
-		u.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	n.wg.Wait()
-	for _, p := range n.peers {
-		p.drain()
-	}
-	for _, h := range n.local {
-		h.drainInbox()
-	}
-}
-
-// Snapshot returns a consistent counter snapshot (stable across two
-// consecutive reads where possible); exact at quiescence.
-func (n *Network) Snapshot() Stats {
-	prev := n.readStats()
-	for i := 0; i < 8; i++ {
-		cur := n.readStats()
-		if cur == prev {
-			return cur
+	n.Runtime.Close(func() {
+		// Start has set these, if it ran, before Close could take the
+		// runtime lock; no connection is admitted once Close has.
+		if n.listener != nil {
+			n.listener.Close()
 		}
-		prev = cur
-	}
-	return prev
-}
-
-func (n *Network) readStats() Stats {
-	// Sent last: outcomes never exceed sends even in a torn read.
-	st := Stats{
-		Dropped:   n.dropped.Load(),
-		Delivered: n.delivered.Load(),
-		Overflow:  n.overflow.Load(),
-	}
-	st.Sent = n.sent.Load()
-	return st
-}
-
-// Stats returns a snapshot of the traffic counters; see Snapshot.
-func (n *Network) Stats() Stats { return n.Snapshot() }
-
-// PauseAll pauses every live local host in parallel and returns once all
-// are parked; with every process paused the campaign is at a consistent
-// cut for measurement.
-func (n *Network) PauseAll() { n.controlAll(true) }
-
-// ResumeAll resumes every live local host.
-func (n *Network) ResumeAll() { n.controlAll(false) }
-
-func (n *Network) controlAll(pause bool) {
-	hosts := n.local
-	workers := 256
-	if workers > len(hosts) {
-		workers = len(hosts)
-	}
-	if workers < 1 {
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan *Host, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for h := range next {
-				h.control(pause)
-			}
-		}()
-	}
-	for _, h := range hosts {
-		next <- h
-	}
-	close(next)
-	wg.Wait()
+		if n.udp != nil {
+			n.udp.Close()
+		}
+		n.connMu.Lock()
+		for c := range n.conns {
+			c.Close()
+		}
+		n.connMu.Unlock()
+	}, func() {
+		for _, p := range n.peers {
+			p.drain()
+		}
+	})
 }
