@@ -77,3 +77,27 @@ func TestCreateMessageViaTickAllocs(t *testing.T) {
 		t.Errorf("tick allocates %.2f objects, want at most %v", avg, maxTickAllocs)
 	}
 }
+
+// TestLeafSetUpdateZeroAllocs pins the receive-side merge at zero
+// allocations: each round removes the closest successor and re-offers a
+// full message's worth of descriptors, so every Update rewrites the kept
+// set through pooled scratch and the set's existing arena block.
+func TestLeafSetUpdateZeroAllocs(t *testing.T) {
+	descs, _ := benchWorld(4096, 4)
+	arena := peer.NewDescriptorArena()
+	l := core.NewLeafSetIn(arena, descs[0].ID, core.DefaultC)
+	batch := descs[1:200]
+	l.Update(batch)
+	round := func() {
+		l.Remove(l.Successors()[0].ID)
+		if !l.Update(batch) {
+			t.Fatal("re-offering a removed neighbour did not change the set")
+		}
+	}
+	for range 10 {
+		round()
+	}
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("leaf set update allocates %.2f objects, want 0", avg)
+	}
+}

@@ -39,64 +39,106 @@ func NewLeafSetIn(arena *peer.DescriptorArena, self id.ID, c int) *LeafSet {
 	return &LeafSet{self: self, c: c, arena: arena}
 }
 
-// leafScratch holds the merge pool and rebuild buffers reused across
-// Update calls. The pool is shared by every leaf set in the process (all
-// updates run serialised per node; concurrent nodes draw distinct objects
-// from the pool), which turns what used to be per-call — and would
-// otherwise be per-node retained — scratch into a handful of objects.
+// leafScratch holds the per-direction merge buffers reused across Update
+// calls. The pool is shared by every leaf set in the process (all updates
+// run serialised per node; concurrent nodes draw distinct objects from the
+// pool), which turns what would otherwise be per-node retained scratch
+// into a handful of objects.
 type leafScratch struct {
-	pool       peer.Set
-	old        []peer.Descriptor
-	succ, pred []peer.Descriptor
+	succ, pred leafRun
 }
 
 var leafScratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
 
+// leafRun is one direction's merge buffer: descriptors in ascending order
+// of directed distance from the owner, with the distances alongside.
+type leafRun struct {
+	ds   []peer.Descriptor
+	dist []uint64
+}
+
+// reset loads the run with a direction's current entries.
+func (r *leafRun) reset(ds []peer.Descriptor, dist func(id.ID) uint64) {
+	r.ds = append(r.ds[:0], ds...)
+	r.dist = r.dist[:0]
+	for _, d := range ds {
+		r.dist = append(r.dist, dist(d.ID))
+	}
+}
+
+// insert adds d, at directed distance dd, keeping the run sorted and at
+// most c long. Directed distance from a fixed origin is injective over
+// IDs, so an equal distance means d is already present: the entry inserted
+// first wins, as in an insertion-ordered set.
+func (r *leafRun) insert(d peer.Descriptor, dd uint64, c int) {
+	n := len(r.dist)
+	if n == c && (c == 0 || dd >= r.dist[n-1]) {
+		return
+	}
+	i, found := slices.BinarySearch(r.dist, dd)
+	if found {
+		return
+	}
+	if n < c {
+		r.ds = append(r.ds, peer.Descriptor{})
+		r.dist = append(r.dist, 0)
+	}
+	copy(r.ds[i+1:], r.ds[i:])
+	copy(r.dist[i+1:], r.dist[i:])
+	r.ds[i], r.dist[i] = d, dd
+}
+
 // Update merges the given descriptors into the leaf set and re-applies the
 // selection rule. The node's own descriptor and duplicates are ignored.
-// It reports whether the kept set changed.
+// It reports whether the kept set changed; the storage is written (and, on
+// first fill, drawn from the arena) only when it did.
+//
+// Each direction is merged into a run bounded at c entries — the most the
+// top-up rule can keep from one side — so candidates farther than a full
+// run's last entry are rejected in O(1) without sorting the batch.
 func (l *LeafSet) Update(ds []peer.Descriptor) bool {
 	sc := leafScratchPool.Get().(*leafScratch)
 	defer leafScratchPool.Put(sc)
-	pool := &sc.pool
-	pool.Reset()
-	for _, d := range l.succ {
-		pool.Add(d)
-	}
-	for _, d := range l.pred {
-		pool.Add(d)
-	}
-	added := false
+	succDist := func(x id.ID) uint64 { return id.Succ(l.self, x) }
+	predDist := func(x id.ID) uint64 { return id.Pred(l.self, x) }
+	succ, pred := &sc.succ, &sc.pred
+	succ.reset(l.succ, succDist)
+	pred.reset(l.pred, predDist)
 	for _, d := range ds {
-		if d.ID == l.self {
-			continue
-		}
-		if pool.Add(d) {
-			added = true
+		switch {
+		case d.ID == l.self:
+		case id.IsSuccessor(l.self, d.ID):
+			succ.insert(d, succDist(d.ID), l.c)
+		default:
+			pred.insert(d, predDist(d.ID), l.c)
 		}
 	}
-	if !added {
+
+	half := l.c / 2
+	nSucc := min(len(succ.ds), half)
+	nPred := min(len(pred.ds), half)
+	// Top up from the other direction when one side is short.
+	if spare := l.c - nSucc - nPred; spare > 0 {
+		nSucc = min(len(succ.ds), nSucc+spare)
+	}
+	if spare := l.c - nSucc - nPred; spare > 0 {
+		nPred = min(len(pred.ds), nPred+spare)
+	}
+	// Both runs are sorted by the same key as the stored directions, so
+	// the kept set is unchanged exactly when the kept prefixes equal them.
+	if slices.Equal(succ.ds[:nSucc], l.succ) && slices.Equal(pred.ds[:nPred], l.pred) {
 		return false
 	}
-	// Snapshot the previous contents (distinct IDs by construction) for
-	// the change check; rebuild overwrites the backing block in place.
-	sc.old = append(sc.old[:0], l.succ...)
-	sc.old = append(sc.old, l.pred...)
-	l.rebuild(pool.Slice(), sc)
-	if l.Len() != len(sc.old) {
-		return true
+	// nSucc+nPred ≤ c by the spare arithmetic, so both directions fit the
+	// single capacity-c block.
+	if l.block == nil {
+		l.block = l.arena.Get(l.c)
 	}
-	for _, d := range l.succ {
-		if !containsID(sc.old, d.ID) {
-			return true
-		}
-	}
-	for _, d := range l.pred {
-		if !containsID(sc.old, d.ID) {
-			return true
-		}
-	}
-	return false
+	blk := append(l.block[:0], succ.ds[:nSucc]...)
+	blk = append(blk, pred.ds[:nPred]...)
+	l.succ = blk[0:nSucc:nSucc]
+	l.pred = blk[nSucc : nSucc+nPred : nSucc+nPred]
+	return true
 }
 
 func containsID(ds []peer.Descriptor, nodeID id.ID) bool {
@@ -106,68 +148,6 @@ func containsID(ds []peer.Descriptor, nodeID id.ID) bool {
 		}
 	}
 	return false
-}
-
-// rebuild applies the paper's selection rule to an arbitrary candidate
-// pool (entries with distinct IDs) and writes the outcome into the backing
-// block. The pool holds copies, so overwriting the block mid-rebuild
-// cannot corrupt the candidates.
-func (l *LeafSet) rebuild(pool []peer.Descriptor, sc *leafScratch) {
-	succ, pred := sc.succ[:0], sc.pred[:0]
-	for _, d := range pool {
-		if d.ID == l.self {
-			continue
-		}
-		if id.IsSuccessor(l.self, d.ID) {
-			succ = append(succ, d)
-		} else {
-			pred = append(pred, d)
-		}
-	}
-	// Directed ring distances from a fixed origin are injective over
-	// distinct IDs, so neither comparator can tie: the sort order is a
-	// total order, independent of the algorithm.
-	slices.SortFunc(succ, func(a, b peer.Descriptor) int {
-		da, db := id.Succ(l.self, a.ID), id.Succ(l.self, b.ID)
-		switch {
-		case da < db:
-			return -1
-		case da > db:
-			return 1
-		}
-		return 0
-	})
-	slices.SortFunc(pred, func(a, b peer.Descriptor) int {
-		da, db := id.Pred(l.self, a.ID), id.Pred(l.self, b.ID)
-		switch {
-		case da < db:
-			return -1
-		case da > db:
-			return 1
-		}
-		return 0
-	})
-
-	half := l.c / 2
-	nSucc := min(len(succ), half)
-	nPred := min(len(pred), half)
-	// Top up from the other direction when one side is short.
-	if spare := l.c - nSucc - nPred; spare > 0 {
-		nSucc = min(len(succ), nSucc+spare)
-	}
-	if spare := l.c - nSucc - nPred; spare > 0 {
-		nPred = min(len(pred), nPred+spare)
-	}
-	// nSucc+nPred ≤ c by the spare arithmetic, so both directions fit the
-	// single capacity-c block.
-	if l.block == nil {
-		l.block = l.arena.Get(l.c)
-	}
-	blk := append(l.block[:0], succ[:nSucc]...)
-	blk = append(blk, pred[:nPred]...)
-	l.succ = blk[0:nSucc:nSucc]
-	l.pred = blk[nSucc : nSucc+nPred : nSucc+nPred]
-	sc.succ, sc.pred = succ, pred
 }
 
 // Release returns the backing block to the arena. The leaf set must not be
@@ -247,11 +227,4 @@ func removeInPlace(ds []peer.Descriptor, nodeID id.ID) []peer.Descriptor {
 		}
 	}
 	return ds
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -239,5 +241,154 @@ func TestLeafSetInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refLeafSet is the leaf-set update as it was written before the bounded
+// merge: pool the current entries and the batch in an insertion-ordered
+// dedup set, fully sort both directions, apply the half/spare rule, and
+// report whether the kept IDs changed.
+type refLeafSet struct {
+	self       id.ID
+	c          int
+	succ, pred []peer.Descriptor
+}
+
+func (l *refLeafSet) Update(ds []peer.Descriptor) bool {
+	var pool peer.Set
+	pool.AddAll(l.succ)
+	pool.AddAll(l.pred)
+	added := false
+	for _, d := range ds {
+		if d.ID != l.self && pool.Add(d) {
+			added = true
+		}
+	}
+	if !added {
+		return false
+	}
+	old := append(slices.Clone(l.succ), l.pred...)
+	var succ, pred []peer.Descriptor
+	for _, d := range pool.Slice() {
+		if id.IsSuccessor(l.self, d.ID) {
+			succ = append(succ, d)
+		} else {
+			pred = append(pred, d)
+		}
+	}
+	slices.SortFunc(succ, func(a, b peer.Descriptor) int {
+		return cmp.Compare(id.Succ(l.self, a.ID), id.Succ(l.self, b.ID))
+	})
+	slices.SortFunc(pred, func(a, b peer.Descriptor) int {
+		return cmp.Compare(id.Pred(l.self, a.ID), id.Pred(l.self, b.ID))
+	})
+	half := l.c / 2
+	nSucc := min(len(succ), half)
+	nPred := min(len(pred), half)
+	if spare := l.c - nSucc - nPred; spare > 0 {
+		nSucc = min(len(succ), nSucc+spare)
+	}
+	if spare := l.c - nSucc - nPred; spare > 0 {
+		nPred = min(len(pred), nPred+spare)
+	}
+	l.succ, l.pred = succ[:nSucc], pred[:nPred]
+	if len(old) != nSucc+nPred {
+		return true
+	}
+	for _, d := range append(slices.Clone(l.succ), l.pred...) {
+		if !containsID(old, d.ID) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestLeafSetUpdateReportsChange drives the bounded merge and the
+// reference side by side over random batches — fresh IDs with repeats and
+// conflicting addresses, batches of already-kept IDs, self-only batches,
+// and interleaved removals — and requires the same return value and the
+// same contents, addresses included. A batch that changes nothing must
+// also leave the arena untouched.
+func TestLeafSetUpdateReportsChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var unchanged int
+	for trial := 0; trial < 200; trial++ {
+		arena := peer.NewDescriptorArena()
+		self := id.ID(rng.Uint64())
+		c := 2 * (1 + rng.Intn(8))
+		l := NewLeafSetIn(arena, self, c)
+		ref := &refLeafSet{self: self, c: c}
+		universe := make([]id.ID, 4+rng.Intn(60))
+		for i := range universe {
+			off := id.ID(rng.Uint64() >> uint(rng.Intn(64)))
+			if rng.Intn(2) == 0 {
+				off = -off
+			}
+			universe[i] = self + off
+		}
+		universe[0] = self + 1<<63 // the antipode counts as a successor
+		for step := 0; step < 40; step++ {
+			var batch []peer.Descriptor
+			switch kind := rng.Intn(6); {
+			case kind == 0: // self only
+				for range 1 + rng.Intn(3) {
+					batch = append(batch, peer.Descriptor{ID: self, Addr: peer.Addr(rng.Intn(100))})
+				}
+			case kind == 1 && l.Len() > 0: // IDs already kept, new addresses
+				for _, d := range l.Slice() {
+					batch = append(batch, peer.Descriptor{ID: d.ID, Addr: d.Addr + 1})
+				}
+				rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			case kind == 2 && l.Len() > 0: // a removal first, as the failure detector does
+				victim := l.Slice()[rng.Intn(l.Len())].ID
+				l.Remove(victim)
+				ref.succ = removeInPlace(ref.succ, victim)
+				ref.pred = removeInPlace(ref.pred, victim)
+				fallthrough
+			default:
+				for range rng.Intn(2 * c) {
+					v := universe[rng.Intn(len(universe))]
+					batch = append(batch, peer.Descriptor{ID: v, Addr: peer.Addr(rng.Intn(100))})
+				}
+				if rng.Intn(4) == 0 {
+					batch = append(batch, peer.Descriptor{ID: self})
+				}
+			}
+			before := arena.Outstanding()
+			got, want := l.Update(batch), ref.Update(batch)
+			if got != want {
+				t.Fatalf("trial %d step %d: Update reported %v, reference %v (batch %v)", trial, step, got, want, batch)
+			}
+			if !slices.Equal(l.Successors(), ref.succ) || !slices.Equal(l.Predecessors(), ref.pred) {
+				t.Fatalf("trial %d step %d: contents diverged\ngot  %v | %v\nwant %v | %v",
+					trial, step, l.Successors(), l.Predecessors(), ref.succ, ref.pred)
+			}
+			if !got {
+				unchanged++
+				if after := arena.Outstanding(); after != before {
+					t.Fatalf("trial %d step %d: no-op update moved arena.Outstanding() %d -> %d", trial, step, before, after)
+				}
+			}
+		}
+		l.Release()
+		if n := arena.Outstanding(); n != 0 {
+			t.Fatalf("trial %d: %d arena blocks outstanding after Release", trial, n)
+		}
+	}
+	if unchanged == 0 {
+		t.Error("no batch left the set unchanged")
+	}
+}
+
+// TestLeafSetNoOpUpdateDrawsNoBlock: a fresh leaf set offered only its
+// owner's descriptor (or nothing) stays empty and never touches the arena.
+func TestLeafSetNoOpUpdateDrawsNoBlock(t *testing.T) {
+	arena := peer.NewDescriptorArena()
+	l := NewLeafSetIn(arena, 100, 4)
+	if l.Update(descs(100, 100)) || l.Update(nil) {
+		t.Error("self-only or empty update reported a change")
+	}
+	if n := arena.Outstanding(); n != 0 {
+		t.Errorf("no-op updates drew %d arena blocks, want 0", n)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/peer"
@@ -69,5 +70,53 @@ func TestMessagePoolEquivalence(t *testing.T) {
 			t.Fatalf("round %d: recycling changed message content:\n got %+v\nwant %+v", i, sr, sp)
 		}
 		mr.Recycle() // back to the pool; the next round reuses the arena
+	}
+}
+
+// TestScratchPoolsConcurrent runs independent nodes on separate goroutines
+// — as sharded simnet and concurrent hosts do — so that they share the
+// process-wide message and leaf-set scratch pools. Each goroutine's
+// messages must equal a sequential run of the same node; under -race, any
+// scratch retained across calls shows up as a data race.
+func TestScratchPoolsConcurrent(t *testing.T) {
+	world := make([]peer.Descriptor, 160)
+	for i := range world {
+		world[i] = peer.Descriptor{ID: testID(i), Addr: peer.Addr(int32(i))}
+	}
+	run := func(g int) []msgSnapshot {
+		n, err := NewNode(world[g], testConfig(), sampling.Fixed(world[100:110]))
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		n.Table().AddAll(world[110:])
+		var out []msgSnapshot
+		for i := 0; i < 200; i++ {
+			n.Leaf().Update(world[(g+i)%90 : (g+i)%90+10])
+			m := n.createMessage(world[(g*7+i)%100], true)
+			out = append(out, snapshot(m))
+			m.Recycle()
+		}
+		return out
+	}
+	const workers = 4
+	want := make([][]msgSnapshot, workers)
+	for g := range want {
+		want[g] = run(g)
+	}
+	got := make([][]msgSnapshot, workers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = run(g)
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want[g]) {
+			t.Fatalf("worker %d: concurrent messages differ from the sequential run", g)
+		}
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/flat"
@@ -112,18 +114,18 @@ type Node struct {
 	released bool
 }
 
-// msgScratch holds the union set and sample buffer reused across
-// createMessage calls so steady-state message construction allocates
-// nothing: the shipped entries live in a pooled message's arena. The
-// scratch is pooled process-wide rather than retained per node — each
+// msgScratch holds the candidate, distance and sort-key buffers reused
+// across createMessage calls so steady-state message construction
+// allocates nothing: the shipped entries live in a pooled message's arena.
+// The scratch is pooled process-wide rather than retained per node — each
 // node's callbacks run serialised (simnet is single-threaded; livenet
 // drives each host from one dispatch loop), so a message construction
 // holds an object exclusively for its duration and a handful of objects
 // serve any number of nodes.
 type msgScratch struct {
-	union   peer.Set
-	sample  []peer.Descriptor
-	table   []peer.Descriptor
+	cand    []peer.Descriptor
+	dist    []uint64
+	keys    []uint64
 	expired []id.ID
 }
 
@@ -399,54 +401,90 @@ func (n *Node) selectPeer(rng *rand.Rand) peer.Descriptor {
 // "usually smaller in practice" — the union is far smaller than 768).
 func (n *Node) createMessage(q peer.Descriptor, request bool) *Message {
 	sc := msgScratchPool.Get().(*msgScratch)
-	union := &sc.union
-	union.Reset()
-	union.Add(n.self)
-	union.AddAll(n.leaf.Successors())
-	union.AddAll(n.leaf.Predecessors())
+	// Candidates in union insertion order: a duplicate ID keeps the
+	// descriptor inserted first, so the order of these appends matters.
+	cand := append(sc.cand[:0], n.self)
+	cand = append(cand, n.leaf.Successors()...)
+	cand = append(cand, n.leaf.Predecessors()...)
 	if n.cfg.CR > 0 {
 		if n.appendSampler != nil {
-			sc.sample = n.appendSampler.AppendSample(sc.sample[:0], n.cfg.CR)
-			union.AddAll(sc.sample)
+			cand = n.appendSampler.AppendSample(cand, n.cfg.CR)
 		} else {
-			union.AddAll(n.sampler.Sample(n.cfg.CR))
+			cand = append(cand, n.sampler.Sample(n.cfg.CR)...)
 		}
 	}
+	limit := n.cfg.C
 	if !n.cfg.DisablePrefixFeedback {
-		sc.table = n.table.AppendEntries(sc.table[:0])
-		union.AddAll(sc.table)
+		cand = n.table.AppendEntries(cand)
+		limit += n.cfg.TableCapacity()
 	}
-	union.Remove(q.ID) // never ship the destination its own descriptor
-
-	nBase := min(n.cfg.C, union.Len())
-	nExtra := 0
-	if !n.cfg.DisablePrefixFeedback {
-		nExtra = min(union.Len()-nBase, n.cfg.TableCapacity())
-	}
-	// Partial selection, run directly on the union's backing list: only
-	// the nBase+nExtra entries actually shipped are selected and sorted,
-	// O(u log(c+extra)) instead of fully sorting the whole union per
-	// message. Selection permutes the list in place (the set's index is
-	// stale afterwards, which Reset clears on next use), but its result
-	// is order-insensitive: ring distance with ID tie-break is a total
-	// order and the union holds distinct IDs, so the selected prefix is a
-	// pure function of the union's contents.
-	closest := peer.SelectNClosest(union.Slice(), q.ID, nBase+nExtra)
+	order := sc.sortByRingDistance(cand, q.ID)
 
 	// The shipped entries are copied out of scratch into a pooled
 	// message's arena: messages are owned by their receiver (see Message),
 	// so scratch must never escape — and the engine recycles the arena
-	// once the receiver is done with it.
+	// once the receiver is done with it. Equal IDs are adjacent in order,
+	// first-inserted first, so dropping every repeat of the previous ID
+	// deduplicates exactly as an insertion-ordered set would.
 	m := messagePool.Get().(*Message)
 	m.Sender = n.self
 	m.Request = request
-	m.Entries = append(m.Entries[:0], closest...)
+	m.Entries = m.Entries[:0]
+	for k, i := range order {
+		if len(m.Entries) == limit {
+			break
+		}
+		d := cand[i]
+		if d.ID == q.ID || (k > 0 && cand[order[k-1]].ID == d.ID) {
+			continue // never ship the destination its own descriptor
+		}
+		m.Entries = append(m.Entries, d)
+	}
 	m.Dead = m.Dead[:0]
 	if n.cfg.EvictAfterMisses > 0 {
 		m.Dead = n.appendCertificates(m.Dead, sc)
 	}
+	sc.cand = cand
 	msgScratchPool.Put(sc)
 	return m
+}
+
+// sortByRingDistance returns the candidate indices ordered by (ring
+// distance from pivot, ID, index) — the ring order the protocol ships in,
+// with duplicates adjacent and first-inserted first. The flat keys
+// (dist>>s)<<s | index sort with an inlined compare; only candidates
+// whose distances agree above the low s bits can be left out of order,
+// and one insertion pass on the exact triple fixes those in near-linear
+// time. The returned slice is scratch, valid until sc is reused.
+func (sc *msgScratch) sortByRingDistance(cand []peer.Descriptor, pivot id.ID) []uint64 {
+	s := uint(bits.Len(uint(len(cand))))
+	dist, keys := sc.dist[:0], sc.keys[:0]
+	for i, d := range cand {
+		r := id.RingDistance(pivot, d.ID)
+		dist = append(dist, r)
+		keys = append(keys, r>>s<<s|uint64(i))
+	}
+	slices.Sort(keys)
+	mask := uint64(1)<<s - 1
+	for k := range keys {
+		keys[k] &= mask
+	}
+	less := func(a, b uint64) bool {
+		if dist[a] != dist[b] {
+			return dist[a] < dist[b]
+		}
+		if cand[a].ID != cand[b].ID {
+			return cand[a].ID < cand[b].ID
+		}
+		return a < b
+	}
+	for k := 1; k < len(keys); k++ {
+		for j := k; j > 0 && less(keys[j], keys[j-1]); j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+	sc.dist, sc.keys = dist, keys
+	return keys
 }
 
 // Self returns the node's own descriptor.

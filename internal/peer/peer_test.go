@@ -147,3 +147,21 @@ func TestDescriptorNil(t *testing.T) {
 		t.Error("NoAddr descriptor should be nil")
 	}
 }
+
+func TestSetReset(t *testing.T) {
+	s := NewSet(4)
+	s.AddAll([]Descriptor{d(1), d(2), d(3)})
+	s.Reset()
+	if s.Len() != 0 {
+		t.Fatalf("len after reset = %d", s.Len())
+	}
+	if s.Contains(1) {
+		t.Error("reset set still contains old ID")
+	}
+	if !s.Add(d(2)) {
+		t.Error("add after reset rejected")
+	}
+	if s.Len() != 1 || !s.Contains(2) {
+		t.Error("set unusable after reset")
+	}
+}
