@@ -364,12 +364,10 @@ func runDriver(opts *options, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "netsim: %d workers up (n=%d procs=%d period=%s scenario=%s)\n",
 		opts.procs, opts.n, opts.procs, opts.period, opts.scenario.Name)
 
-	var points []experiment.Point
-	convergedAt := -1
-	for cycle := 0; cycle < opts.cycles; cycle++ {
+	points, convergedAt, err := experiment.Drive(opts.cycles, lastEvent, opts.full, func(cycle int) (experiment.Point, bool, error) {
 		for _, w := range workers {
 			if err := w.send("CYCLE " + strconv.Itoa(cycle)); err != nil {
-				return err
+				return experiment.Point{}, false, err
 			}
 		}
 		var sum truth.Aggregate
@@ -378,33 +376,28 @@ func runDriver(opts *options, stdout, stderr io.Writer) error {
 		for _, w := range workers {
 			rest, err := w.expect("POINT")
 			if err != nil {
-				return err
+				return experiment.Point{}, false, err
 			}
 			var msg pointMsg
 			if err := json.Unmarshal([]byte(rest), &msg); err != nil {
-				return fmt.Errorf("worker %d point: %w", w.proc, err)
+				return experiment.Point{}, false, fmt.Errorf("worker %d point: %w", w.proc, err)
 			}
 			sum.Add(msg.Agg)
 			st.Add(msg.Stats)
 			localSum += msg.LocalAlive
 			if globalAlive >= 0 && msg.GlobalAlive != globalAlive {
-				return fmt.Errorf("cycle %d: workers disagree on membership (%d vs %d) — fault plans diverged", cycle, globalAlive, msg.GlobalAlive)
+				return experiment.Point{}, false, fmt.Errorf("cycle %d: workers disagree on membership (%d vs %d) — fault plans diverged", cycle, globalAlive, msg.GlobalAlive)
 			}
 			globalAlive = msg.GlobalAlive
 		}
 		if localSum != globalAlive {
-			return fmt.Errorf("cycle %d: local alive counts sum to %d, plan says %d", cycle, localSum, globalAlive)
+			return experiment.Point{}, false, fmt.Errorf("cycle %d: local alive counts sum to %d, plan says %d", cycle, localSum, globalAlive)
 		}
 		pt := experiment.PointFromAggregate(cycle, sum, globalAlive, st.Sent, st.Dropped, 0)
-		points = append(points, pt)
-		if pt.LeafMissing == 0 && pt.PrefixMissing == 0 && cycle >= lastEvent {
-			if convergedAt < 0 {
-				convergedAt = cycle
-			}
-			if !opts.full {
-				break
-			}
-		}
+		return pt, pt.LeafMissing == 0 && pt.PrefixMissing == 0, nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Quiesce: stop every worker's tick sources, wait for each local

@@ -75,8 +75,7 @@ func RunChord(p ChordParams) (*ChordResult, error) {
 		pos[v] = i
 	}
 
-	res := &ChordResult{Params: p, ConvergedAt: -1}
-	for cycle := 0; cycle < p.MaxCycles; cycle++ {
+	points, convergedAt, _ := Drive(p.MaxCycles, -1, false, func(cycle int) (ChordPoint, bool, error) {
 		net.Run(int64(cycle+1) * p.Config.Delta)
 		wrong, total := ring.NetworkFingerErrors(nodes)
 		var leafMiss, leafTot int
@@ -93,14 +92,9 @@ func RunChord(p ChordParams) (*ChordResult, error) {
 		if leafTot > 0 {
 			pt.LeafMissing = float64(leafMiss) / float64(leafTot)
 		}
-		res.Points = append(res.Points, pt)
-		if wrong == 0 && leafMiss == 0 {
-			res.ConvergedAt = cycle
-			break
-		}
-	}
-	res.Stats = net.Stats()
-	return res, nil
+		return pt, wrong == 0 && leafMiss == 0, nil
+	})
+	return &ChordResult{Params: p, Points: points, ConvergedAt: convergedAt, Stats: net.Stats()}, nil
 }
 
 // leafMissingAgainstRing checks the chord node's successor list against the

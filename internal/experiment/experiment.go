@@ -276,11 +276,13 @@ func Run(p Params) (*Result, error) {
 }
 
 type runner struct {
-	p       Params
-	net     *simnet.Network
-	rng     *rand.Rand // harness-level randomness (offsets, churn picks)
-	measRNG *rand.Rand // sampled-measurement draws; separate stream so
-	// enabling sampling never perturbs the protocol trace
+	p   Params
+	net *simnet.Network
+	rng *rand.Rand // harness-level randomness (offsets, churn picks)
+	// measurement holds the trial's ground-truth oracle (tr), built once
+	// and then mutated incrementally by churn/join deltas — never rebuilt
+	// per cycle, the measurement plane's dominant cost at paper scale.
+	measurement
 	idGen      *id.Generator
 	oracle     *sampling.Oracle
 	samplerSeq int64 // newscast sampler seed counter (spawn order)
@@ -289,10 +291,6 @@ type runner struct {
 	// arena backs every node's leaf-set and prefix-table blocks for the
 	// lifetime of the trial; churn victims return their blocks on kill.
 	arena *peer.DescriptorArena
-	// tr is the trial's ground-truth oracle. It is built once and then
-	// mutated incrementally by churn/join deltas — never rebuilt per
-	// cycle (the measurement plane's dominant cost at paper scale).
-	tr *truth.Truth
 	// aliveBuf and measBuf are reused across measure calls.
 	aliveBuf []*member
 	measBuf  []truth.Member
@@ -305,7 +303,12 @@ func (r *runner) run() (*Result, error) {
 	p := r.p
 	r.net = simnet.New(simnet.Config{Seed: p.Seed, Drop: p.Drop, Shards: p.Shards})
 	r.rng = rand.New(rand.NewSource(p.Seed + 0x9e3779b9))
-	r.measRNG = rand.New(rand.NewSource(p.Seed + 0x5ca1ab1e))
+	r.measurement = measurement{
+		sample:     p.MeasureSample,
+		confidence: p.MeasureConfidence,
+		workers:    p.MeasureWorkers,
+		rng:        rand.New(rand.NewSource(p.Seed + 0x5ca1ab1e)),
+	}
 	r.idGen = id.NewGenerator(p.Seed + 0x7f4a7c15)
 	// Explicit initial IDs bypass the generator, so reserve them: later
 	// churn/join draws are then collision-free by construction (the
@@ -353,49 +356,33 @@ func (r *runner) run() (*Result, error) {
 	}
 	r.tr = tr
 
-	res := &Result{Params: p, ConvergedAt: -1}
+	// A massive join is the run's only scheduled event: convergence is
+	// declared at or after its cycle.
+	lastEvent := -1
+	if p.Join.Count > 0 {
+		lastEvent = p.Join.Cycle
+	}
 	start := r.net.Now()
-	for cycle := 0; cycle < p.MaxCycles; cycle++ {
+	points, convergedAt, err := Drive(p.MaxCycles, lastEvent, p.KeepRunningAfterPerfect, func(cycle int) (Point, bool, error) {
 		r.cycle = cycle
 		if p.Churn.Active(cycle) {
 			if err := r.applyChurn(); err != nil {
-				return nil, err
+				return Point{}, false, err
 			}
 		}
 		if p.Join.Count > 0 && cycle == p.Join.Cycle {
 			if err := r.applyJoin(p.Join.Count); err != nil {
-				return nil, err
+				return Point{}, false, err
 			}
 		}
 		r.net.Run(start + int64(cycle+1)*delta)
-		pt := r.measure(cycle)
-		joinPending := p.Join.Count > 0 && cycle < p.Join.Cycle
-		perfect := pt.LeafMissing == 0 && pt.PrefixMissing == 0 && !joinPending
-		if perfect && pt.SampleSize > 0 {
-			// An all-perfect sample is only evidence, not proof: a small
-			// sample can miss every imperfect node. Confirm with one exact
-			// measurement before the run is allowed to stop (or stamp
-			// ConvergedAt). When the exact measurement disagrees it
-			// supersedes the sample as the reported point (SampleSize == 0
-			// marks it exact): the full measurement is already paid for,
-			// and an optimistic estimate the run itself refuted would
-			// misreport the convergence tail.
-			var agg truth.Aggregate
-			agg, perfect = r.confirmPerfect()
-			if !perfect {
-				pt = pointFromAggregate(cycle, agg, pt.Alive, pt.Sent, pt.Dropped, pt.WireUnits)
-			}
-		}
-		res.Points = append(res.Points, pt)
-		if perfect {
-			if res.ConvergedAt < 0 {
-				res.ConvergedAt = cycle
-			}
-			if !p.KeepRunningAfterPerfect {
-				break
-			}
-		}
+		pt, perfect := r.measure(cycle, cycle >= lastEvent)
+		return pt, perfect, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	res := &Result{Params: p, Points: points, ConvergedAt: convergedAt}
 	res.Stats = r.net.Stats()
 	if p.MemStats {
 		if p.memCampaign != nil {
@@ -408,16 +395,6 @@ func (r *runner) run() (*Result, error) {
 		runtime.KeepAlive(r)
 	}
 	return res, nil
-}
-
-// confirmPerfect re-checks an all-perfect sampled measurement against the
-// full live population (measBuf still holds this cycle's members). Exact
-// integer counts, so "confirmed" means genuinely zero missing entries; the
-// aggregate is returned so a refuted sample's cycle can report the exact
-// measurement instead.
-func (r *runner) confirmPerfect() (truth.Aggregate, bool) {
-	agg := r.tr.MeasureAll(r.measBuf, r.p.MeasureWorkers)
-	return agg, agg.LeafMissing == 0 && agg.PrefixMissing == 0
 }
 
 // spawn creates a node: its sampling instance (live NEWSCAST or shared
@@ -536,10 +513,11 @@ func (r *runner) aliveMembers() []*member {
 }
 
 // measure computes the network-wide missing proportions against ground
-// truth for the current membership, sharding the per-node measurement
-// across MeasureWorkers goroutines. The simulator is quiescent between
-// Run calls, so the parallel readers see stable protocol state.
-func (r *runner) measure(cycle int) Point {
+// truth for the current membership (see measurePoint), sharding the
+// per-node measurement across MeasureWorkers goroutines. The simulator is
+// quiescent between Run calls, so the parallel readers see stable protocol
+// state.
+func (r *runner) measure(cycle int, settled bool) (Point, bool) {
 	alive := r.aliveMembers()
 	ms := r.measBuf[:0]
 	for _, m := range alive {
@@ -550,18 +528,14 @@ func (r *runner) measure(cycle int) Point {
 	}
 	r.measBuf = ms
 	st := r.net.Stats()
-	if r.p.MeasureSample > 0 {
-		sa := r.tr.MeasureSampleConf(ms, r.p.MeasureSample, r.p.MeasureConfidence, r.measRNG, r.p.MeasureWorkers)
-		return pointFromSampleAggregate(cycle, sa, len(alive), st.Sent, st.Dropped, st.WireUnits)
-	}
-	agg := r.tr.MeasureAll(ms, r.p.MeasureWorkers)
-	return pointFromAggregate(cycle, agg, len(alive), st.Sent, st.Dropped, st.WireUnits)
+	return r.measurePoint(ms, cycle, settled, len(alive), st.Sent, st.Dropped, st.WireUnits)
 }
 
-// pointFromAggregate converts MeasureAll's integer sums into the per-cycle
-// Point both engines report (wireUnits is 0 under livenet, which does no
-// descriptor-unit accounting).
-func pointFromAggregate(cycle int, agg truth.Aggregate, alive int, sent, dropped, wireUnits int64) Point {
+// PointFromAggregate converts MeasureAll's integer sums — possibly summed
+// across processes — into the per-cycle Point every engine reports
+// (wireUnits is 0 on the host engines, which do no descriptor-unit
+// accounting).
+func PointFromAggregate(cycle int, agg truth.Aggregate, alive int, sent, dropped, wireUnits int64) Point {
 	pt := Point{
 		Cycle:         cycle,
 		LeafPerfect:   agg.LeafPerfect,
@@ -586,7 +560,7 @@ func pointFromAggregate(cycle int, agg truth.Aggregate, alive int, sent, dropped
 // estimated missing proportions with their interval half-widths, and the
 // per-node count metrics scaled from the sample to the live population.
 func pointFromSampleAggregate(cycle int, sa truth.SampleAggregate, alive int, sent, dropped, wireUnits int64) Point {
-	pt := pointFromAggregate(cycle, sa.Sums, alive, sent, dropped, wireUnits)
+	pt := PointFromAggregate(cycle, sa.Sums, alive, sent, dropped, wireUnits)
 	pt.LeafMissing = sa.LeafMissing.Mean
 	pt.PrefixMissing = sa.PrefixMissing.Mean
 	if sa.Exact {

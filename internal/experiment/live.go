@@ -4,19 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hostrt"
-	"repro/internal/id"
 	"repro/internal/livenet"
 	"repro/internal/memstats"
-	"repro/internal/newscast"
-	"repro/internal/peer"
-	"repro/internal/sampling"
-	"repro/internal/truth"
 )
 
 // LiveParams configures one live campaign trial: the bootstrap protocol
@@ -186,18 +179,10 @@ func (res *LiveResult) Final() Point {
 	return res.Points[len(res.Points)-1]
 }
 
-// liveMember is one node of the campaign network.
-type liveMember struct {
-	desc  peer.Descriptor
-	host  *livenet.Host
-	node  *core.Node
-	nc    *newscast.Protocol // non-nil under SamplerNewscast
-	alive bool
-}
-
 // RunLive executes one live trial: N hosts on the concurrent runtime,
-// scenario events applied at cycle boundaries, and a pause-the-world
-// measurement (PauseAll/ResumeAll) of the convergence metrics each cycle.
+// the scenario's fault plan applied at cycle boundaries, and a
+// pause-the-world measurement (PauseAll/ResumeAll) of the convergence
+// metrics each cycle.
 func RunLive(p LiveParams, seed int64) (*LiveResult, error) {
 	p = p.withDefaults(1)
 	if err := p.Validate(); err != nil {
@@ -212,151 +197,27 @@ func RunLive(p LiveParams, seed int64) (*LiveResult, error) {
 		InboxSize:  p.InboxSize,
 	})
 	defer net.Close()
-
-	ids := id.Unique(p.N, seed+0x11)
-	descs := make([]peer.Descriptor, p.N)
-	members := make([]*liveMember, p.N)
-	for i := 0; i < p.N; i++ {
-		h := net.AddHost()
-		descs[i] = peer.Descriptor{ID: ids[i], Addr: h.Addr()}
-		members[i] = &liveMember{desc: descs[i], host: h, alive: true}
+	hosts := make([]*livenet.Host, p.N)
+	for i := range hosts {
+		hosts[i] = net.AddHost()
 	}
-	oracle := sampling.NewOracle(descs, seed+0x1234)
-	rng := rand.New(rand.NewSource(seed + 0x9e3779b9))
-	measRNG := rand.New(rand.NewSource(seed + 0x5ca1ab1e))
-	// One arena per trial, shared by every host's node. Blocks are never
-	// released during the run: a killed host keeps its protocol state for
-	// Respawn (the crash-recovery model), so its blocks stay owned by the
-	// node for the whole trial. The arena's win here is batching: ~3 block
-	// allocations per node become one chunk allocation per 256 blocks.
-	cfg := p.Config
-	cfg.Arena = peer.NewDescriptorArena()
-	warmup := time.Duration(0)
-	if p.Sampler == SamplerNewscast {
-		warmup = time.Duration(p.WarmupCycles) * p.Period
-	}
-	for i, m := range members {
-		// Each node samples through its own handle — an oracle Stream
-		// or a newscast Sampler — so the per-tick sample path never
-		// takes a shared lock: concurrent hosts do not contend.
-		var svc sampling.Service
-		if p.Sampler == SamplerNewscast {
-			m.nc = newscast.New(m.desc, oracle.Sample(5), newscast.DefaultViewSize)
-			ncOffset := time.Duration(rng.Int63n(int64(p.Period)))
-			if err := m.host.Attach(newscast.ProtoID, m.nc, p.Period, ncOffset); err != nil {
-				return nil, fmt.Errorf("attach newscast: %w", err)
-			}
-			svc = newscast.NewSampler(m.nc, seed+0x51*int64(i+1))
-		} else {
-			svc = oracle.Stream(int64(i))
-		}
-		node, err := core.NewNode(m.desc, cfg, svc)
-		if err != nil {
-			return nil, err
-		}
-		m.node = node
-		offset := warmup + time.Duration(rng.Int63n(int64(p.Period)))
-		if err := m.host.Attach(core.ProtoID, node, p.Period, offset); err != nil {
-			return nil, fmt.Errorf("attach bootstrap: %w", err)
-		}
-	}
-
 	schedule := p.Scenario.Events(seed, p.N, p.Cycles)
-	byCycle := make(map[int][]livenet.Event, len(schedule))
-	lastEvent := -1
-	for _, e := range schedule {
-		byCycle[e.Cycle] = append(byCycle[e.Cycle], e)
-		if e.Cycle > lastEvent {
-			lastEvent = e.Cycle
-		}
+	t, err := newHostTrial(p, seed, schedule, net.Runtime, hosts, net.SetLatency)
+	if err != nil {
+		return nil, err
 	}
-
 	if err := net.Start(); err != nil {
 		return nil, err
 	}
 	// Let the NEWSCAST layer gossip alone through the warmup window; the
 	// bootstrap bindings' offsets already delay their first tick past it.
-	if warmup > 0 {
-		time.Sleep(warmup)
-	}
+	time.Sleep(p.warmup())
 
-	// The trial's ground-truth oracle: built once, then patched with the
-	// kill/respawn deltas of each cycle's scenario events. Membership
-	// only changes via applyLiveEvent (same goroutine), so the patch
-	// happens before pausing the world — the stop-the-world window then
-	// covers only the actual state inspection, not the truth derivation.
-	tr, err := truth.New(ids, p.Config.B, p.Config.K, p.Config.C)
-	if err != nil {
+	res := &LiveResult{Params: p, Seed: seed, Schedule: schedule}
+	if res.Points, res.ConvergedAt, err = t.drive(); err != nil {
 		return nil, err
 	}
-
-	res := &LiveResult{Params: p, Seed: seed, Schedule: schedule, ConvergedAt: -1}
-	var measBuf []truth.Member
-	for cycle := 0; cycle < p.Cycles; cycle++ {
-		for _, e := range byCycle[cycle] {
-			added, removed, err := applyLiveEvent(net, members, oracle, rng, e, res)
-			if err != nil {
-				return nil, err
-			}
-			if len(added) > 0 || len(removed) > 0 {
-				if err := tr.Update(added, removed); err != nil {
-					return nil, err
-				}
-			}
-		}
-		time.Sleep(p.Period)
-
-		net.PauseAll()
-		ms := measBuf[:0]
-		alive := 0
-		for _, m := range members {
-			if !m.alive {
-				continue
-			}
-			alive++
-			ms = append(ms, truth.Member{Self: m.desc.ID, Leaf: m.node.Leaf(), Table: m.node.Table()})
-		}
-		measBuf = ms
-		var pt Point
-		confirmed := true
-		st := net.Snapshot()
-		if p.MeasureSample > 0 {
-			sa := tr.MeasureSampleConf(ms, p.MeasureSample, p.MeasureConfidence, measRNG, p.MeasureWorkers)
-			pt = pointFromSampleAggregate(cycle, sa, alive, st.Sent, st.Dropped, 0)
-			if pt.LeafMissing == 0 && pt.PrefixMissing == 0 && pt.SampleSize > 0 {
-				// An all-perfect sample can simply have missed every
-				// imperfect node; confirm with one exact measurement while
-				// the world is still paused before the convergence check
-				// below may trust it. When the exact measurement disagrees
-				// it supersedes the sample as the reported point (SampleSize
-				// == 0 marks it exact): the full measurement is already paid
-				// for, and an optimistic estimate the run itself refuted
-				// would misreport the convergence tail.
-				agg := tr.MeasureAll(ms, p.MeasureWorkers)
-				confirmed = agg.LeafMissing == 0 && agg.PrefixMissing == 0
-				if !confirmed {
-					pt = pointFromAggregate(cycle, agg, alive, st.Sent, st.Dropped, 0)
-				}
-			}
-		} else {
-			agg := tr.MeasureAll(ms, p.MeasureWorkers)
-			pt = pointFromAggregate(cycle, agg, alive, st.Sent, st.Dropped, 0)
-		}
-		net.ResumeAll()
-
-		res.Points = append(res.Points, pt)
-		// Events apply at the start of their cycle and measurement runs
-		// at its end, so a perfect measurement at the last event's own
-		// cycle already reflects the fully applied fault plan.
-		if pt.LeafMissing == 0 && pt.PrefixMissing == 0 && confirmed && cycle >= lastEvent {
-			if res.ConvergedAt < 0 {
-				res.ConvergedAt = cycle
-			}
-			if !p.KeepRunningAfterPerfect {
-				break
-			}
-		}
-	}
+	res.Killed, res.Respawned = t.Killed, t.Respawned
 	if p.MemStats {
 		if p.memCampaign != nil {
 			res.HeapBytes = p.memCampaign.Sample()
@@ -367,72 +228,6 @@ func RunLive(p LiveParams, seed int64) (*LiveResult, error) {
 	net.Close()
 	res.Stats = net.Snapshot()
 	return res, nil
-}
-
-// applyLiveEvent executes one scenario event; it returns the membership
-// delta (IDs that joined and left) for the trial's ground-truth oracle.
-func applyLiveEvent(net *livenet.Network, members []*liveMember, oracle *sampling.Oracle, rng *rand.Rand, e livenet.Event, res *LiveResult) (added, removed []id.ID, err error) {
-	switch e.Op {
-	case livenet.OpKill:
-		var alive []*liveMember
-		for _, m := range members {
-			if m.alive {
-				alive = append(alive, m)
-			}
-		}
-		k := e.KillCount(len(alive))
-		if k <= 0 {
-			return nil, nil, nil
-		}
-		perm := rng.Perm(len(alive))
-		victims := make([]*livenet.Host, k)
-		for i := range victims {
-			victim := alive[perm[i]]
-			victim.alive = false
-			oracle.Remove(victim.desc.ID)
-			res.Killed++
-			removed = append(removed, victim.desc.ID)
-			victims[i] = victim.host
-		}
-		hostrt.KillAll(victims)
-		return nil, removed, nil
-	case livenet.OpRespawn:
-		for _, m := range members {
-			if m.alive {
-				continue
-			}
-			if err := m.host.Respawn(); err != nil {
-				return added, nil, err
-			}
-			m.alive = true
-			oracle.Add(m.desc)
-			res.Respawned++
-			added = append(added, m.desc.ID)
-		}
-		return added, nil, nil
-	case livenet.OpPartition:
-		net.SetPartition(livenet.Cut(e.Split))
-		return nil, nil, nil
-	case livenet.OpHeal:
-		net.SetPartition(nil)
-		return nil, nil, nil
-	case livenet.OpSetDrop:
-		v := e.Value
-		if v < 0 {
-			v = res.Params.Drop // restore the configured baseline
-		}
-		net.SetDrop(v)
-		return nil, nil, nil
-	case livenet.OpSetLatency:
-		min, max := e.Min, e.Max
-		if min < 0 || max < 0 {
-			min, max = res.Params.MinLatency, res.Params.MaxLatency
-		}
-		net.SetLatency(min, max)
-		return nil, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("experiment: unknown scenario op %v", e.Op)
-	}
 }
 
 // LiveTrialsResult is the outcome of a multi-trial live campaign.
@@ -503,7 +298,7 @@ func RunLiveTrials(p LiveParams, seeds []int64, workers int) (*LiveTrialsResult,
 		Params:  p,
 		Seeds:   seeds,
 		Trials:  results,
-		Agg:     aggregateSeries(series, conv),
+		Agg:     AggregateSeries(series, conv),
 		Workers: workers,
 		Mem:     p.memCampaign,
 	}, nil
@@ -531,5 +326,5 @@ func (tr *LiveTrialsResult) TotalStats() livenet.Stats {
 
 // WriteCSV emits the aggregate per-cycle series with a header.
 func (tr *LiveTrialsResult) WriteCSV(w io.Writer) error {
-	return writeAggCSV(w, tr.Agg, tr.Params.MeasureSample > 0)
+	return WriteAggCSV(w, tr.Agg, tr.Params.MeasureSample > 0)
 }

@@ -199,3 +199,111 @@ func TestLiveTrialsRejectsBadInput(t *testing.T) {
 		t.Error("invalid params accepted")
 	}
 }
+
+// TestLiveSameCycleRespawnThenKill pins that both host engines apply a
+// cycle's events in schedule order: a respawn followed by a kill in the
+// same cycle draws its victims from the revived population, so neither
+// engine kills a node that is already dead, and both replay the identical
+// plan.
+func TestLiveSameCycleRespawnThenKill(t *testing.T) {
+	sc := livenet.Scenario{Name: "respawn-then-kill", Schedule: func(int64, int, int) []livenet.Event {
+		return []livenet.Event{
+			{Cycle: 1, Op: livenet.OpKill, Frac: 0.25},
+			{Cycle: 3, Op: livenet.OpRespawn},
+			{Cycle: 3, Op: livenet.OpKill, Frac: 0.25},
+			{Cycle: 5, Op: livenet.OpRespawn},
+		}
+	}}
+	const n, cycles, seed = 32, 10, 4
+	const period = 10 * time.Millisecond
+	live, err := RunLive(LiveParams{
+		N: n, Config: core.DefaultConfig(), Period: period, Cycles: cycles,
+		Scenario: sc, KeepRunningAfterPerfect: true,
+	}, seed)
+	if err != nil {
+		t.Fatalf("livenet: %v", err)
+	}
+	sock, err := RunSocket(SocketParams{
+		N: n, Config: core.DefaultConfig(), Period: period, Cycles: cycles,
+		BasePort: 19440, Scenario: sc, KeepRunningAfterPerfect: true,
+	}, seed)
+	if err != nil {
+		t.Fatalf("socket: %v", err)
+	}
+
+	wantAlive := []int{32, 24, 24, 24, 24, 32, 32, 32, 32, 32}
+	for _, r := range []struct {
+		engine            string
+		killed, respawned int
+		points            []Point
+	}{
+		{"livenet", live.Killed, live.Respawned, live.Points},
+		{"socket", sock.Killed, sock.Respawned, sock.Points},
+	} {
+		if r.killed != 16 || r.respawned != 16 {
+			t.Errorf("%s: killed=%d respawned=%d, want 16/16", r.engine, r.killed, r.respawned)
+		}
+		if len(r.points) != cycles {
+			t.Fatalf("%s: %d points, want %d", r.engine, len(r.points), cycles)
+		}
+		for c, pt := range r.points {
+			if pt.Alive != wantAlive[c] {
+				t.Errorf("%s cycle %d: alive = %d, want %d", r.engine, c, pt.Alive, wantAlive[c])
+			}
+		}
+	}
+	if st := live.Stats; st.Sent != st.Delivered+st.Dropped+st.Overflow {
+		t.Errorf("livenet counters not conserved: %+v", st)
+	}
+	if st := sock.Stats; st.Sent != st.Delivered+st.Dropped+st.Overflow {
+		t.Errorf("socket counters not conserved: %+v", st)
+	}
+}
+
+// TestLiveFaultRampsRestoreBaseline runs the loss and latency ramps on
+// livenet: each ends with a restore-to-baseline event (the -1 sentinel),
+// after which the run must converge and, for loss, the configured baseline
+// of zero must hold — no message is dropped in any later cycle.
+func TestLiveFaultRampsRestoreBaseline(t *testing.T) {
+	for _, sc := range []livenet.Scenario{livenet.ScenarioDrop, livenet.ScenarioLatency} {
+		t.Run(sc.Name, func(t *testing.T) {
+			p := quickLiveParams(32, 24)
+			p.Period = 10 * time.Millisecond
+			p.Drop = 0
+			p.Scenario = sc
+			p.KeepRunningAfterPerfect = true
+			res, err := RunLive(p, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Schedule) == 0 {
+				t.Fatal("empty fault schedule")
+			}
+			last := res.Schedule[len(res.Schedule)-1]
+			if last.Op != livenet.OpSetDrop && last.Op != livenet.OpSetLatency {
+				t.Fatalf("last event %v is not a fault-model change", last)
+			}
+			if st := res.Stats; st.Sent != st.Delivered+st.Dropped+st.Overflow {
+				t.Errorf("counters not conserved: %+v", st)
+			}
+			if res.ConvergedAt < last.Cycle {
+				t.Errorf("converged_at = %d, want convergence at or after the last event (cycle %d); final %+v",
+					res.ConvergedAt, last.Cycle, res.Final())
+			}
+			if len(res.Points) != p.Cycles {
+				t.Fatalf("%d points, want %d (KeepRunningAfterPerfect)", len(res.Points), p.Cycles)
+			}
+			if sc.Name != livenet.ScenarioDrop.Name {
+				return
+			}
+			if res.Points[last.Cycle].Dropped == 0 {
+				t.Error("loss ramp dropped no messages")
+			}
+			for c := last.Cycle + 1; c < len(res.Points); c++ {
+				if got, prev := res.Points[c].Dropped, res.Points[c-1].Dropped; got != prev {
+					t.Errorf("cycle %d: cumulative dropped grew %d -> %d after the baseline was restored", c, prev, got)
+				}
+			}
+		})
+	}
+}

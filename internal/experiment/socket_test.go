@@ -14,15 +14,16 @@ import (
 // TestSocketScheduleExpansion pins the properties the multi-process
 // driver depends on: the expansion is deterministic (two processes
 // expanding independently agree on every victim), kills and respawns
-// track a consistent alive set, and latency events are rejected.
+// track a consistent alive set, and the socket engine rejects latency
+// scenarios.
 func TestSocketScheduleExpansion(t *testing.T) {
 	const n, cycles = 50, 30
 	schedule := livenet.ScenarioChurn.Events(7, n, cycles)
-	a, err := expandSocketSchedule(schedule, 7, n)
+	a, err := expandSchedule(schedule, 7, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := expandSocketSchedule(schedule, 7, n)
+	b, err := expandSchedule(schedule, 7, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +50,16 @@ func TestSocketScheduleExpansion(t *testing.T) {
 		t.Fatal("churn scenario expanded to zero kills")
 	}
 
-	lat := []livenet.Event{{Cycle: 1, Op: livenet.OpSetLatency, Min: time.Millisecond, Max: time.Millisecond}}
-	if _, err := expandSocketSchedule(lat, 1, n); err == nil {
-		t.Fatal("latency event accepted by socket expansion")
+	lat, err := NewSocketTrial(SocketParams{
+		N:        n,
+		Config:   core.DefaultConfig(),
+		Cycles:   cycles,
+		BasePort: 19420,
+		Scenario: livenet.ScenarioLatency,
+	}, 1)
+	if err == nil {
+		lat.Close()
+		t.Fatal("latency scenario accepted by NewSocketTrial")
 	}
 }
 

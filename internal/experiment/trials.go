@@ -164,15 +164,15 @@ func aggregate(trials []*Result) []AggPoint {
 		series[i] = t.Points
 		conv[i] = t.ConvergedAt
 	}
-	return aggregateSeries(series, conv)
+	return AggregateSeries(series, conv)
 }
 
-// aggregateSeries is the engine-agnostic aggregation core shared by the
-// simnet (RunTrials) and livenet (RunLiveTrials) campaign runners: one
+// AggregateSeries is the engine-agnostic aggregation core shared by the
+// campaign runners (RunTrials, RunLiveTrials, cmd/netsim): one
 // per-cycle Point series and ConvergedAt per trial in, mean/min/max
 // aggregates out. Series shorter than the longest one contribute their
 // final point for the remaining cycles.
-func aggregateSeries(series [][]Point, convergedAt []int) []AggPoint {
+func AggregateSeries(series [][]Point, convergedAt []int) []AggPoint {
 	cycles := 0
 	for _, pts := range series {
 		if len(pts) > cycles {
@@ -232,13 +232,13 @@ func (tr *TrialsResult) ConvergedTrials() int {
 // WriteCSV emits the aggregate per-cycle series with a header. Campaigns
 // run with sampled measurement grow ±ci columns.
 func (tr *TrialsResult) WriteCSV(w io.Writer) error {
-	return writeAggCSV(w, tr.Agg, tr.Params.MeasureSample > 0)
+	return WriteAggCSV(w, tr.Agg, tr.Params.MeasureSample > 0)
 }
 
-// writeAggCSV is the shared CSV emitter for aggregate series; sampled adds
+// WriteAggCSV is the shared CSV emitter for aggregate series; sampled adds
 // the estimator interval columns, keeping full-measurement output
 // byte-identical to the historical format.
-func writeAggCSV(w io.Writer, agg []AggPoint, sampled bool) error {
+func WriteAggCSV(w io.Writer, agg []AggPoint, sampled bool) error {
 	header := "cycle,trials,leaf_missing_mean,leaf_missing_min,leaf_missing_max,prefix_missing_mean,prefix_missing_min,prefix_missing_max,converged_frac"
 	if sampled {
 		header += ",leaf_ci_mean,prefix_ci_mean"

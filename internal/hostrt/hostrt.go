@@ -106,9 +106,12 @@ type Runtime struct {
 }
 
 // New returns a runtime whose hosts have inboxes of inboxSize commands
-// and lose each message with probability drop; send is the engine's send
-// path.
+// (zero selects 256) and lose each message with probability drop; send is
+// the engine's send path.
 func New(inboxSize int, drop float64, send SendFunc) *Runtime {
+	if inboxSize <= 0 {
+		inboxSize = 256
+	}
 	r := &Runtime{inboxSize: inboxSize, send: send, stop: make(chan struct{})}
 	r.dropBits.Store(math.Float64bits(drop))
 	return r

@@ -79,9 +79,6 @@ type Network struct {
 
 // New returns a network ready for AddHost/Attach; call Start to run it.
 func New(cfg Config) *Network {
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 256
-	}
 	if cfg.MaxLatency < cfg.MinLatency {
 		cfg.MaxLatency = cfg.MinLatency
 	}

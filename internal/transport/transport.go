@@ -96,9 +96,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Procs <= 0 {
 		cfg.Procs = 1
 	}
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 256
-	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
 	}
